@@ -14,8 +14,8 @@
 //!   train prefix stays within a factor of the train's internal NN
 //!   distances.
 
-use tsad_core::dist::mass;
-use tsad_core::windows::subsequence_count;
+use tsad_core::dist::mass_with_moments;
+use tsad_core::windows::{subsequence_count, WindowMoments};
 use tsad_core::Dataset;
 
 use crate::error::{ArchiveError, Result};
@@ -113,11 +113,22 @@ pub fn validate(dataset: &Dataset, config: &ValidationConfig) -> Result<Vec<Viol
     // Train-internal novelty scale: NN distance of sampled train windows to
     // the rest of the train prefix.
     let train = &x[..train_len];
+    // One moments pass over the train prefix and one pair of buffers serve
+    // every sampled MASS query below (bitwise equal to `mass`).
+    let Ok(moments) = WindowMoments::compute(train, m) else {
+        // a window longer than the prefix samples no train window
+        violations.push(Violation::TooShort {
+            len: train_len,
+            needed: 2 * m,
+        });
+        return Ok(violations);
+    };
+    let (mut qt, mut d) = (Vec::new(), Vec::new());
     let mut internal = Vec::new();
     let hop = (train_len / 32).max(1);
     let mut i = 0;
     while i + m <= train_len {
-        let d = mass(&train[i..i + m], train)?;
+        mass_with_moments(&train[i..i + m], &moments, train, &mut qt, &mut d)?;
         let nn = d
             .iter()
             .enumerate()
@@ -148,7 +159,7 @@ pub fn validate(dataset: &Dataset, config: &ValidationConfig) -> Result<Vec<Viol
             end: j + m,
         });
         if !near_anomaly {
-            let d = mass(&x[j..j + m], train)?;
+            mass_with_moments(&x[j..j + m], &moments, train, &mut qt, &mut d)?;
             let nn = d.iter().copied().fold(f64::INFINITY, f64::min);
             if nn.is_finite() && nn > allowed {
                 violations.push(Violation::UncoveredTestMode {

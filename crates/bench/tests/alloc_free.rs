@@ -5,7 +5,8 @@
 //! single effective thread, the hot kernels perform **zero** heap
 //! allocations: the FFT plan lookup, the sliding dot product into a
 //! caller-owned buffer, STOMP through its workspace entry point, and the
-//! MERLIN length sweep through `merlin_into`.
+//! MERLIN length sweep through `merlin_into`. The prefix join and the
+//! 1-NN detector built on it allocate exactly their outputs.
 //!
 //! Everything runs under `with_threads(1)`: the zero-allocation contract
 //! is single-threaded by design (scoped worker spawns at higher thread
@@ -24,9 +25,12 @@ static ALLOC: tsad_bench::alloc_track::CountingAlloc = tsad_bench::alloc_track::
 
 use tsad_bench::alloc_track::{count_allocs, counting_allocator_active};
 use tsad_core::fft::{fft_plan, rfft_plan, sliding_dot_product_into};
+use tsad_core::TimeSeries;
+use tsad_detectors::baselines::SubsequenceKnn;
 use tsad_detectors::matrix_profile::{
-    stomp_metric_with, MatrixProfile, ProfileMetric, StompWorkspace,
+    prefix_join, stomp_metric_with, MatrixProfile, ProfileMetric, StompWorkspace,
 };
+use tsad_detectors::Detector;
 use tsad_parallel::with_threads;
 
 fn series(n: usize, seed: u64) -> Vec<f64> {
@@ -97,6 +101,29 @@ fn warm_stomp_is_allocation_free() {
         });
         assert_eq!(allocs, 0, "warm stomp allocated");
         assert_eq!(mp.profile.len(), x.len() - m + 1);
+    });
+}
+
+#[test]
+fn warm_prefix_join_allocates_only_its_output() {
+    // the join's tables and band buffers live in pooled workspaces: a warm
+    // call allocates exactly the returned profile and index, and the 1-NN
+    // detector on top of it adds only its per-point scores
+    let x = series(1024, 6);
+    let (m, train_len) = (64, 512);
+    let ts = TimeSeries::new("knn", x.clone()).unwrap();
+    let knn = SubsequenceKnn::new(m);
+    with_threads(1, || {
+        prefix_join(&x, m, train_len).unwrap();
+        let allocs = count_allocs(|| {
+            std::hint::black_box(prefix_join(&x, m, train_len).unwrap());
+        });
+        assert_eq!(allocs, 2, "warm prefix join allocated beyond its output");
+        knn.score(&ts, train_len).unwrap();
+        let allocs = count_allocs(|| {
+            std::hint::black_box(knn.score(&ts, train_len).unwrap());
+        });
+        assert_eq!(allocs, 3, "warm 1-NN allocated beyond its output");
     });
 }
 

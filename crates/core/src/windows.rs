@@ -29,8 +29,8 @@ pub struct WindowMoments {
 
 /// Reusable prefix-sum buffers for [`WindowMoments::compute_with`]: callers
 /// that recompute moments in a loop (MERLIN's length sweep, streaming
-/// replays) keep one of these around so the two length-`n + 1` temporaries
-/// stop being reallocated per call.
+/// replays) keep one of these around so the two length-`m` rings of recent
+/// prefix sums stop being reallocated per call.
 #[derive(Debug, Default)]
 pub struct MomentsScratch {
     sum: Vec<f64>,
@@ -73,19 +73,18 @@ impl WindowMoments {
     ) -> Result<()> {
         let count = subsequence_count(x.len(), m)?;
         let shift = x.iter().sum::<f64>() / x.len() as f64;
-        let sum = &mut scratch.sum;
-        let sumsq = &mut scratch.sumsq;
-        sum.clear();
-        sum.reserve(x.len() + 1);
-        sum.push(0.0);
-        sumsq.clear();
-        sumsq.reserve(x.len() + 1);
-        sumsq.push(0.0);
-        for (i, &v) in x.iter().enumerate() {
-            let d = v - shift;
-            sum.push(sum[i] + d);
-            sumsq.push(sumsq[i] + d * d);
-        }
+        // Window i is the difference of the prefix sums at i + m and at i.
+        // The prefix sums are produced in order, so only the last m are
+        // ever needed: `ring[k % m]` holds the one at k until k + m
+        // overwrites it, and the values and their subtractions are exactly
+        // those of full-length prefix arrays.
+        let ring_sum = &mut scratch.sum;
+        let ring_sumsq = &mut scratch.sumsq;
+        ring_sum.clear();
+        ring_sum.resize(m, 0.0);
+        ring_sumsq.clear();
+        ring_sumsq.resize(m, 0.0);
+        let (mut sum, mut sumsq) = (0.0f64, 0.0f64);
         let mf = m as f64;
         let means = &mut out.means;
         let stds = &mut out.stds;
@@ -93,20 +92,30 @@ impl WindowMoments {
         means.reserve(count);
         stds.clear();
         stds.reserve(count);
-        for i in 0..count {
-            let s = sum[i + m] - sum[i];
-            let ss = sumsq[i + m] - sumsq[i];
-            let mean = s / mf;
-            let mut var = (ss / mf - mean * mean).max(0.0);
-            // Prefix-sum cancellation leaves O(eps·magnitude²) noise in a
-            // variance that is mathematically 0; `sqrt` would amplify it.
-            // Clamp relative to the second moment (and exactly for m == 1,
-            // where the variance of a single point is 0 by definition).
-            if m == 1 || var < 1e-12 * (ss / mf + mean * mean) {
-                var = 0.0;
+        // ring slot of the prefix sum at k = j + 1
+        let mut slot = 1 % m;
+        for (j, &v) in x.iter().enumerate() {
+            let d = v - shift;
+            sum += d;
+            sumsq += d * d;
+            if j + 1 >= m {
+                let s = sum - ring_sum[slot];
+                let ss = sumsq - ring_sumsq[slot];
+                let mean = s / mf;
+                let mut var = (ss / mf - mean * mean).max(0.0);
+                // Prefix-sum cancellation leaves O(eps·magnitude²) noise in a
+                // variance that is mathematically 0; `sqrt` would amplify it.
+                // Clamp relative to the second moment (and exactly for m == 1,
+                // where the variance of a single point is 0 by definition).
+                if m == 1 || var < 1e-12 * (ss / mf + mean * mean) {
+                    var = 0.0;
+                }
+                means.push(mean + shift);
+                stds.push(var.sqrt());
             }
-            means.push(mean + shift);
-            stds.push(var.sqrt());
+            ring_sum[slot] = sum;
+            ring_sumsq[slot] = sumsq;
+            slot = if slot + 1 == m { 0 } else { slot + 1 };
         }
         out.window = m;
         Ok(())
@@ -209,6 +218,44 @@ mod tests {
                 .all(|(a, b)| a.to_bits() == b.to_bits()));
         }
         assert!(WindowMoments::compute_with(&x, 0, &mut scratch, &mut out).is_err());
+    }
+
+    #[test]
+    fn prefix_rings_match_full_prefix_arrays_bitwise() {
+        // the same moments from full-length prefix arrays: the ring buffers
+        // must reproduce every bit
+        fn reference(x: &[f64], m: usize) -> (Vec<f64>, Vec<f64>) {
+            let shift = x.iter().sum::<f64>() / x.len() as f64;
+            let (mut sum, mut sumsq) = (vec![0.0], vec![0.0]);
+            for (i, &v) in x.iter().enumerate() {
+                let d = v - shift;
+                sum.push(sum[i] + d);
+                sumsq.push(sumsq[i] + d * d);
+            }
+            let mf = m as f64;
+            (0..=x.len() - m)
+                .map(|i| {
+                    let s = sum[i + m] - sum[i];
+                    let ss = sumsq[i + m] - sumsq[i];
+                    let mean = s / mf;
+                    let mut var = (ss / mf - mean * mean).max(0.0);
+                    if m == 1 || var < 1e-12 * (ss / mf + mean * mean) {
+                        var = 0.0;
+                    }
+                    (mean + shift, var.sqrt())
+                })
+                .unzip()
+        }
+        let x: Vec<f64> = (0..300)
+            .map(|i| (i as f64 * 0.37).sin() * 40.0 + ((i * 7) % 13) as f64 + 1e3)
+            .collect();
+        for m in [1usize, 2, 3, 17, 64, 299, 300] {
+            let got = WindowMoments::compute(&x, m).unwrap();
+            let (means, stds) = reference(&x, m);
+            let bits = |v: &[f64]| v.iter().map(|f| f.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&got.means), bits(&means), "m={m}");
+            assert_eq!(bits(&got.stds), bits(&stds), "m={m}");
+        }
     }
 
     #[test]

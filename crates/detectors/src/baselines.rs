@@ -10,7 +10,8 @@
 //! * [`MovingAvgResidual`] — |x − movmean| / movstd, the continuous analogue
 //!   of the paper's one-liners.
 //! * [`SubsequenceKnn`] — z-normalized 1-NN distance from each test window
-//!   to the train prefix (the "decades-old simple idea").
+//!   to the train prefix (the "decades-old simple idea"), computed as a
+//!   train→test prefix join on the STOMP diagonal kernels.
 //! * [`RandomDetector`] — seeded random scores; the floor any metric should
 //!   be calibrated against.
 
@@ -91,7 +92,13 @@ impl Detector for MovingAvgResidual {
 
 /// Semi-supervised subsequence 1-NN: each test window is scored by its
 /// z-normalized distance to the nearest train window; per-point scores take
-/// the max over covering windows.
+/// the max over covering windows, and train points score 0.
+///
+/// The distances come from [`crate::matrix_profile::prefix_join`], which
+/// walks the test × train distance matrix along its diagonals at `O(1)`
+/// per cell — the same values as one MASS call per test window, to
+/// rounding, and bitwise identical at every thread count and on every SIMD
+/// backend. Needs a train prefix of at least `2 · window` points.
 #[derive(Debug, Clone, Copy)]
 pub struct SubsequenceKnn {
     /// Subsequence length.
@@ -124,21 +131,8 @@ impl Detector for SubsequenceKnn {
                 len: train_len,
             });
         }
-        let train = &x[..train_len];
-        let mut out = vec![0.0; x.len()];
-        // score every test window by MASS against the train prefix
-        let mut i = train_len;
-        while i + m <= x.len() {
-            let d = tsad_core::dist::mass(&x[i..i + m], train)?;
-            let nn = d.iter().copied().fold(f64::INFINITY, f64::min);
-            for o in out.iter_mut().skip(i).take(m) {
-                if nn > *o {
-                    *o = nn;
-                }
-            }
-            i += 1;
-        }
-        Ok(out)
+        let mp = crate::matrix_profile::prefix_join(x, m, train_len)?;
+        Ok(mp.point_scores(x.len()))
     }
 }
 

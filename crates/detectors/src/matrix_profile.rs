@@ -1,15 +1,22 @@
-//! Self-join matrix profile: STOMP (exact, `O(n²)` with incremental dot
-//! products) and STAMP (MASS-per-query, `O(n² log n)`, kept as an
-//! independent reference implementation), plus a brute-force `O(n²·m)`
-//! oracle for testing.
+//! Matrix profiles on the STOMP diagonal kernels — the self-join
+//! ([`stomp`]), the left profile ([`left_stomp`]) and the train→test
+//! prefix join ([`prefix_join`]) — plus STAMP (MASS-per-query,
+//! `O(n² log n)`, kept as an independent reference implementation) and a
+//! brute-force `O(n²·m)` oracle for testing.
 //!
 //! The matrix profile value at `i` is the z-normalized Euclidean distance
 //! from subsequence `i` to its nearest non-trivial neighbor. Its maximum is
 //! the *time series discord* — the anomaly score the paper plots in Fig. 8
 //! (NYC taxi) and Fig. 13 (ECG), and recommends as a strong decades-old
 //! baseline.
+//!
+//! All three profiles walk the distance matrix along its diagonals with the
+//! incremental dot-product recurrence, so each cell costs `O(1)`: the
+//! self-join `O(n²)`, the prefix join `O(n_test·n_train)` for the test
+//! windows against the train windows — where per-window MASS pays an FFT
+//! sliding dot product, a moments pass and three allocations per test
+//! window.
 
-use std::cell::RefCell;
 use std::ops::Range;
 
 use tsad_core::dist::{dot_to_znorm_dist, mass_with_moments};
@@ -51,9 +58,9 @@ pub struct MatrixProfile {
     pub profile: Vec<f64>,
     /// `index[i]` = start of that nearest neighbor; exact distance ties are
     /// resolved to the smallest neighbor index. Windows that received no
-    /// admissible neighbor (tiny inputs; the left profile's warm-up prefix)
-    /// keep the placeholder 0 — check `profile[i]` before trusting
-    /// `index[i]` in those regions.
+    /// admissible neighbor (tiny inputs; the left profile's warm-up prefix;
+    /// the prefix join's train windows) keep the placeholder 0 — check
+    /// `profile[i]` before trusting `index[i]` in those regions.
     pub index: Vec<usize>,
     /// Subsequence length.
     pub window: usize,
@@ -585,7 +592,238 @@ fn fill_band_lanes<L: F64Lanes, S: LaneScorer, const LEFT: bool>(
     }
 }
 
-/// AVX2-dispatched monomorphization of [`fill_band_lanes`]: the
+/// One walk over bands of diagonals — the self-join, the left profile, or
+/// the prefix join — generic over the lane type so [`fill_band`] can
+/// monomorphize it per SIMD backend and [`scan_bands`] can fan any of them
+/// out over the same pooled buffers and merge rule.
+trait BandKernel: Sync {
+    /// Profile slots the walk writes: the worker buffers' length.
+    fn rows(&self) -> usize;
+    /// Number of diagonals the bands partition.
+    fn diagonals(&self) -> usize;
+    /// Walks the diagonals of `band` into one worker's buffers.
+    fn fill<L: F64Lanes>(&self, band: Range<usize>, space: &mut BandSpace);
+}
+
+/// The self-join (`LEFT = false`) or left-profile walk of [`run_scan`].
+struct DiagScan<'a, S, const LEFT: bool> {
+    x: &'a [f64],
+    m: usize,
+    count: usize,
+    excl: usize,
+    first_row: &'a [f64],
+    /// Held by value, so the scorer's table pointers live in the kernel
+    /// itself rather than behind a second reference, which the compiler
+    /// would have to reload after every profile store.
+    scorer: S,
+}
+
+impl<S: LaneScorer, const LEFT: bool> BandKernel for DiagScan<'_, S, LEFT> {
+    fn rows(&self) -> usize {
+        self.count
+    }
+    fn diagonals(&self) -> usize {
+        self.count.saturating_sub(self.excl)
+    }
+    #[inline(always)]
+    fn fill<L: F64Lanes>(&self, band: Range<usize>, space: &mut BandSpace) {
+        fill_band_lanes::<L, S, LEFT>(
+            self.x,
+            self.m,
+            self.count,
+            self.excl,
+            self.first_row,
+            &self.scorer,
+            band,
+            &mut space.scores,
+            &mut space.index,
+            &mut space.qt_save,
+        );
+    }
+}
+
+/// The train→test prefix join of [`prefix_join`] as a band walk. Rows are
+/// the test windows `train_len..count`, columns the train windows
+/// `0..cols` (`cols = train_len − m + 1`), and diagonal `k = i − j` runs
+/// over rows `lo(k)..hi(k)` for `k` in `m..count`. Every pair is at least
+/// `m` apart, so no exclusion zone applies, and only the test row of a pair
+/// is updated. Worker buffers hold one slot per test row (`i − train_len`).
+struct JoinScan<'a, S> {
+    x: &'a [f64],
+    m: usize,
+    train_len: usize,
+    cols: usize,
+    count: usize,
+    /// `QT[0][k]` for `k ≥ train_len`, stored at `k − train_len`: window 0
+    /// against each test window, the seed of every diagonal that starts in
+    /// train column 0.
+    head_row: &'a [f64],
+    /// `QT[train_len][j]` for train windows `j`: the seed of every diagonal
+    /// that starts in the first test row.
+    test_row: &'a [f64],
+    scorer: S,
+}
+
+impl<S: LaneScorer> JoinScan<'_, S> {
+    /// First row of diagonal `k`.
+    #[inline(always)]
+    fn lo(&self, k: usize) -> usize {
+        self.train_len.max(k)
+    }
+
+    /// One past the last row of diagonal `k` (its column reaches `cols − 1`
+    /// or its row the last window).
+    #[inline(always)]
+    fn hi(&self, k: usize) -> usize {
+        self.count.min(self.cols + k)
+    }
+
+    /// Dot product of the first cell `(lo(k), lo(k) − k)` of diagonal `k`.
+    #[inline(always)]
+    fn seed(&self, k: usize) -> f64 {
+        if k >= self.train_len {
+            self.head_row[k - self.train_len]
+        } else {
+            self.test_row[self.train_len - k]
+        }
+    }
+
+    /// Scalar walk of diagonal `k` over `rows` (a subrange of
+    /// `lo(k)..hi(k)`): the first row seeds `qt`, later rows advance the
+    /// STOMP recurrence in place, so a diagonal can be walked in disjoint
+    /// row blocks with `qt` carried between them.
+    #[inline(always)]
+    fn walk(
+        &self,
+        k: usize,
+        rows: Range<usize>,
+        qt: &mut f64,
+        scores: &mut [f64],
+        index: &mut [usize],
+    ) {
+        let (x, m, t) = (self.x, self.m, self.train_len);
+        let mut i = rows.start;
+        if i == self.lo(k) && i < rows.end {
+            *qt = self.seed(k);
+            let s = self.scorer.score(i, i - k, *qt);
+            merge_cell(scores, index, i - t, s, i - k);
+            i += 1;
+        }
+        while i < rows.end {
+            let j = i - k;
+            *qt = *qt - x[i - 1] * x[j - 1] + x[i + m - 1] * x[j + m - 1];
+            let s = self.scorer.score(i, j, *qt);
+            merge_cell(scores, index, i - t, s, j);
+            i += 1;
+        }
+    }
+
+    /// Lockstep walk of the diagonal group `k..k+LANES` over `rows`. Lane
+    /// `g` pairs row `i` with train window `i − k − g`, so the column-side
+    /// loads are reversed, as in [`left_group_rows`]. Lane `g` is live on
+    /// `lo(k+g)..hi(k+g)`; both bounds rise with `g`, so a staggered scalar
+    /// prologue walks each lane (its seed row included) until the last lane
+    /// is live, the lanes advance together until lane 0 ends, and a ragged
+    /// scalar epilogue finishes the later lanes.
+    #[inline(always)]
+    fn group_rows<L: F64Lanes>(
+        &self,
+        k: usize,
+        rows: Range<usize>,
+        qs: &mut [f64],
+        scores: &mut [f64],
+        index: &mut [usize],
+    ) {
+        let (x, m, t) = (self.x, self.m, self.train_len);
+        let lock_lo = self.lo(k + L::LANES - 1) + 1;
+        let lock_hi = self.hi(k);
+        for (g, q) in qs.iter_mut().enumerate().take(L::LANES) {
+            let lane = rows.start.max(self.lo(k + g))..rows.end.min(lock_lo);
+            self.walk(k + g, lane, q, scores, index);
+        }
+        let (start, end) = (rows.start.max(lock_lo), rows.end.min(lock_hi));
+        if start < end {
+            // SAFETY: `qs` holds at least LANES values (the caller slices it).
+            let mut qt = unsafe { L::load(qs.as_ptr()) };
+            for i in start..end {
+                let j0 = i - k;
+                // Every lane is live, so lane LANES−1's column
+                // `j0 − LANES + 1 ≥ 1`: the reversed loads below start at
+                // `j0 − LANES ≥ 0`, and `j0 + m − 1 < train_len ≤ x.len()`.
+                let base = j0 - L::LANES;
+                // SAFETY: `base .. base + m + LANES` lies inside `x` (above).
+                let (xl, xh) = unsafe {
+                    (
+                        L::load_reversed(x.as_ptr().add(base)),
+                        L::load_reversed(x.as_ptr().add(base + m)),
+                    )
+                };
+                qt = qt
+                    .sub(L::splat(x[i - 1]).mul(xl))
+                    .add(L::splat(x[i + m - 1]).mul(xh));
+                // SAFETY: the scorer tables span every window, and the
+                // lanes' columns `j0 + 1 − LANES ..= j0` are all windows.
+                let s = unsafe { self.scorer.score_lanes::<L, false>(i, j0, qt) };
+                if s.le_mask(L::splat(scores[i - t])) != 0 {
+                    let sa = s.to_array();
+                    for (g, &sv) in sa.iter().enumerate().take(L::LANES) {
+                        merge_cell(scores, index, i - t, sv, j0 - g);
+                    }
+                }
+            }
+            // SAFETY: as for the load above.
+            unsafe { qt.store(qs.as_mut_ptr()) };
+        }
+        for (g, q) in qs.iter_mut().enumerate().take(L::LANES) {
+            let lane = rows.start.max(lock_hi)..rows.end.min(self.hi(k + g));
+            self.walk(k + g, lane, q, scores, index);
+        }
+    }
+}
+
+impl<S: LaneScorer> BandKernel for JoinScan<'_, S> {
+    fn rows(&self) -> usize {
+        self.count - self.train_len
+    }
+    fn diagonals(&self) -> usize {
+        self.count - self.m
+    }
+    /// Band offset `d` is diagonal `k = m + d`. Like [`fill_band_lanes`],
+    /// the band crosses the test rows one [`ROW_BLOCK`] at a time, in lane
+    /// groups wherever a group has a lockstep row, scalar elsewhere.
+    #[inline(always)]
+    fn fill<L: F64Lanes>(&self, band: Range<usize>, space: &mut BandSpace) {
+        let BandSpace {
+            scores,
+            index,
+            qt_save,
+        } = space;
+        qt_save.clear();
+        qt_save.resize(band.len(), 0.0);
+        let mut rb = self.train_len;
+        while rb < self.count {
+            let re = (rb + ROW_BLOCK).min(self.count);
+            let mut d = band.start;
+            while d < band.end {
+                let k = self.m + d;
+                let qs = &mut qt_save[d - band.start..];
+                let grouped =
+                    band.end - d >= L::LANES && self.lo(k + L::LANES - 1) + 1 < self.hi(k);
+                if grouped {
+                    self.group_rows::<L>(k, rb..re, &mut qs[..L::LANES], scores, index);
+                    d += L::LANES;
+                } else {
+                    let rows = rb.max(self.lo(k))..re.min(self.hi(k));
+                    self.walk(k, rows, &mut qs[0], scores, index);
+                    d += 1;
+                }
+            }
+            rb = re;
+        }
+    }
+}
+
+/// AVX2-dispatched monomorphization of a [`BandKernel`]: the
 /// `target_feature` wrapper is what lets the compiler emit 256-bit
 /// instructions for the inlined lane ops.
 ///
@@ -593,61 +831,29 @@ fn fill_band_lanes<L: F64Lanes, S: LaneScorer, const LEFT: bool>(
 /// The CPU must support AVX2 (guaranteed when dispatch chose
 /// [`Backend::Avx2`]).
 #[cfg(target_arch = "x86_64")]
-#[allow(clippy::too_many_arguments)]
 #[target_feature(enable = "avx2")]
-unsafe fn fill_band_avx2<S: LaneScorer, const LEFT: bool>(
-    x: &[f64],
-    m: usize,
-    count: usize,
-    excl: usize,
-    first_row: &[f64],
-    scorer: &S,
-    band: Range<usize>,
-    scores: &mut [f64],
-    index: &mut [usize],
-    qt_save: &mut Vec<f64>,
-) {
-    fill_band_lanes::<simd::AvxF64, S, LEFT>(
-        x, m, count, excl, first_row, scorer, band, scores, index, qt_save,
-    );
+unsafe fn fill_band_avx2<K: BandKernel>(kernel: &K, band: Range<usize>, space: &mut BandSpace) {
+    kernel.fill::<simd::AvxF64>(band, space);
 }
 
 /// Runs one band under the dispatched SIMD backend. The backend is resolved
 /// once per profile call on the caller's thread (see [`run_scan`]) and
 /// passed in, so worker threads can never re-detect differently.
-#[allow(clippy::too_many_arguments)]
-fn fill_band<S: LaneScorer, const LEFT: bool>(
+fn fill_band<K: BandKernel>(
     backend: Backend,
-    x: &[f64],
-    m: usize,
-    count: usize,
-    excl: usize,
-    first_row: &[f64],
-    scorer: &S,
+    kernel: &K,
     band: Range<usize>,
-    scores: &mut [f64],
-    index: &mut [usize],
-    qt_save: &mut Vec<f64>,
+    space: &mut BandSpace,
 ) {
     match backend {
         #[cfg(target_arch = "x86_64")]
         // SAFETY: dispatch only selects Avx2 on a CPU that supports it.
-        Backend::Avx2 => unsafe {
-            fill_band_avx2::<S, LEFT>(
-                x, m, count, excl, first_row, scorer, band, scores, index, qt_save,
-            )
-        },
+        Backend::Avx2 => unsafe { fill_band_avx2(kernel, band, space) },
         #[cfg(target_arch = "x86_64")]
-        Backend::Sse2 => fill_band_lanes::<simd::SseF64, S, LEFT>(
-            x, m, count, excl, first_row, scorer, band, scores, index, qt_save,
-        ),
+        Backend::Sse2 => kernel.fill::<simd::SseF64>(band, space),
         #[cfg(target_arch = "aarch64")]
-        Backend::Neon => fill_band_lanes::<simd::NeonF64, S, LEFT>(
-            x, m, count, excl, first_row, scorer, band, scores, index, qt_save,
-        ),
-        _ => fill_band_lanes::<simd::ScalarF64, S, LEFT>(
-            x, m, count, excl, first_row, scorer, band, scores, index, qt_save,
-        ),
+        Backend::Neon => kernel.fill::<simd::NeonF64>(band, space),
+        _ => kernel.fill::<simd::ScalarF64>(band, space),
     }
 }
 
@@ -655,80 +861,104 @@ fn fill_band<S: LaneScorer, const LEFT: bool>(
 /// the per-worker buffers through [`merge_cell`]'s order-independent rule —
 /// every slot ends at the lexicographic minimum of all its candidates, so
 /// the outcome is identical wherever the band boundaries fall and in
-/// whatever order the folds arrive. `scores`/`index` are reset and receive
-/// the merged result.
-#[allow(clippy::too_many_arguments)]
-fn scan_bands<S: LaneScorer, const LEFT: bool>(
+/// whatever order the folds arrive. `scores`/`index` (both
+/// `kernel.rows()` long) are reset and receive the merged result.
+fn scan_bands<K: BandKernel>(
     backend: Backend,
-    x: &[f64],
-    m: usize,
-    count: usize,
-    excl: usize,
-    first_row: &[f64],
-    scorer: &S,
-    scores: &mut Vec<f64>,
-    index: &mut Vec<usize>,
+    kernel: &K,
+    scores: &mut [f64],
+    index: &mut [usize],
 ) {
-    scores.clear();
-    scores.resize(count, f64::INFINITY);
-    index.clear();
-    index.resize(count, 0);
-    let diagonals = count.saturating_sub(excl);
+    let rows = kernel.rows();
+    debug_assert!(scores.len() == rows && index.len() == rows);
+    scores.fill(f64::INFINITY);
+    index.fill(0);
     tsad_parallel::par_chunks_scratch(
         &BAND_POOL,
-        diagonals,
+        kernel.diagonals(),
         BandSpace::default,
         |space, band| {
             let _band_timer = STOMP_BAND_NS.start();
             space.scores.clear();
-            space.scores.resize(count, f64::INFINITY);
+            space.scores.resize(rows, f64::INFINITY);
             space.index.clear();
-            space.index.resize(count, 0);
-            fill_band::<S, LEFT>(
-                backend,
-                x,
-                m,
-                count,
-                excl,
-                first_row,
-                scorer,
-                band,
-                &mut space.scores,
-                &mut space.index,
-                &mut space.qt_save,
-            );
+            space.index.resize(rows, 0);
+            fill_band(backend, kernel, band, space);
         },
         |space| {
-            for i in 0..count {
+            for i in 0..rows {
                 merge_cell(scores, index, i, space.scores[i], space.index[i]);
             }
         },
     );
 }
 
-/// Reusable buffers for [`stomp_metric_with`] / [`left_stomp_with`]: the
-/// window moments (plus their prefix-sum scratch), the seed row of dot
-/// products, squared norms (Euclidean metric only), the correlation-form
-/// lookup tables, and the merged score profile. A caller that keeps one of
-/// these across calls of the same shape performs no heap allocation in the
-/// kernel after the first call; numeric state never carries over because
-/// every buffer is fully rewritten per call.
+/// Reusable buffers for [`stomp_metric_with`] / [`left_stomp_with`] (and,
+/// pooled, [`prefix_join`]): the window moments (plus their prefix-sum
+/// scratch; the correlation-form lookup tables overwrite them in place),
+/// the seed rows of dot products, and squared norms (Euclidean metric
+/// only). Scores merge straight into the output profile. A caller that
+/// keeps one of these across calls of the same shape performs no heap
+/// allocation in the kernel after the first call; numeric state never
+/// carries over because every buffer is fully rewritten per call.
 #[derive(Debug, Default)]
 pub struct StompWorkspace {
     moments: WindowMoments,
     mscratch: MomentsScratch,
     first_row: Vec<f64>,
+    /// The prefix join's second seed row (see [`JoinScan::test_row`]).
+    test_row: Vec<f64>,
     sq_norms: Vec<f64>,
-    a: Vec<f64>,
-    inv: Vec<f64>,
-    scores: Vec<f64>,
 }
 
-thread_local! {
-    /// Workspace behind the allocating convenience wrappers, so even
-    /// one-shot callers stop paying the setup allocations after their
-    /// thread's first call.
-    static STOMP_WS: RefCell<StompWorkspace> = RefCell::new(StompWorkspace::default());
+/// Workspaces behind the allocating convenience wrappers, shared across
+/// threads and calls. The experiment drivers call the wrappers from worker
+/// threads spawned per batch, where a thread-local workspace would die with
+/// its thread and every batch would reallocate the `O(n)` tables; pooled,
+/// the tables are built once per concurrent caller and then reused.
+static WS_POOL: ScratchPool<StompWorkspace> = ScratchPool::new();
+
+/// Runs `f` with a workspace taken from [`WS_POOL`], then returns it.
+fn with_workspace<R>(f: impl FnOnce(&mut StompWorkspace) -> R) -> R {
+    let mut ws = WS_POOL.take(StompWorkspace::default);
+    let out = f(&mut ws);
+    WS_POOL.put(ws);
+    out
+}
+
+/// Turns the window moments into the [`CorrScorer`] lookup tables in
+/// place — `a_i = √m·μ_i` over the means, `inv_i = 1/(√m·σ_i)` over the
+/// stds — and returns the scorer. The moments are rebuilt on every call,
+/// so the workspace keeps no second pair of `O(n)` tables.
+fn corr_scorer(moments: &mut WindowMoments, m: usize) -> CorrScorer<'_> {
+    let sqrt_m = (m as f64).sqrt();
+    for mu in &mut moments.means {
+        *mu *= sqrt_m;
+    }
+    for s in &mut moments.stds {
+        *s = 1.0 / (sqrt_m * *s);
+    }
+    CorrScorer {
+        a: &moments.means,
+        inv: &moments.stds,
+        two_m: 2.0 * m as f64,
+    }
+}
+
+/// Runs one self-join or left-profile scan into `out`: the merge runs in
+/// `out.profile` / `out.index` directly, then the scores are finalized to
+/// distances in place.
+fn scan_profile<S: LaneScorer, const LEFT: bool>(
+    backend: Backend,
+    kernel: &DiagScan<'_, S, LEFT>,
+    out: &mut MatrixProfile,
+) {
+    out.profile.resize(kernel.count, 0.0);
+    out.index.resize(kernel.count, 0);
+    scan_bands(backend, kernel, &mut out.profile, &mut out.index);
+    for p in &mut out.profile {
+        *p = kernel.scorer.finalize(*p);
+    }
 }
 
 /// Shared preparation + dispatch for both profile variants. Scorer choice
@@ -755,13 +985,8 @@ fn run_scan<const LEFT: bool>(
         moments,
         first_row,
         sq_norms,
-        a,
-        inv,
-        scores,
         ..
     } = ws;
-    let index = &mut out.index;
-    let profile = &mut out.profile;
     let backend = simd::current();
     match metric {
         ProfileMetric::ZNormalized => {
@@ -776,35 +1001,26 @@ fn run_scan<const LEFT: bool>(
                 // the degenerate conventions are branchy scalar code; forcing
                 // the one-lane backend keeps the historical path bit for bit
                 // (still a pure function of the input)
-                scan_bands::<_, LEFT>(
-                    Backend::Scalar,
+                let kernel = DiagScan::<_, LEFT> {
                     x,
                     m,
                     count,
                     excl,
                     first_row,
-                    &scorer,
-                    scores,
-                    index,
-                );
-                profile.clear();
-                profile.extend(scores.iter().map(|&s| scorer.finalize(s)));
-            } else {
-                let sqrt_m = (m as f64).sqrt();
-                a.clear();
-                a.extend(moments.means.iter().map(|&mu| sqrt_m * mu));
-                inv.clear();
-                inv.extend(moments.stds.iter().map(|&s| 1.0 / (sqrt_m * s)));
-                let scorer = CorrScorer {
-                    a,
-                    inv,
-                    two_m: 2.0 * m as f64,
+                    scorer,
                 };
-                scan_bands::<_, LEFT>(
-                    backend, x, m, count, excl, first_row, &scorer, scores, index,
-                );
-                profile.clear();
-                profile.extend(scores.iter().map(|&s| scorer.finalize(s)));
+                scan_profile(Backend::Scalar, &kernel, out);
+            } else {
+                let scorer = corr_scorer(moments, m);
+                let kernel = DiagScan::<_, LEFT> {
+                    x,
+                    m,
+                    count,
+                    excl,
+                    first_row,
+                    scorer,
+                };
+                scan_profile(backend, &kernel, out);
             }
         }
         ProfileMetric::Euclidean => {
@@ -812,11 +1028,15 @@ fn run_scan<const LEFT: bool>(
             sq_norms.reserve(count);
             sq_norms.extend((0..count).map(|i| x[i..i + m].iter().map(|v| v * v).sum::<f64>()));
             let scorer = EuclidScorer { sq_norms };
-            scan_bands::<_, LEFT>(
-                backend, x, m, count, excl, first_row, &scorer, scores, index,
-            );
-            profile.clear();
-            profile.extend(scores.iter().map(|&s| scorer.finalize(s)));
+            let kernel = DiagScan::<_, LEFT> {
+                x,
+                m,
+                count,
+                excl,
+                first_row,
+                scorer,
+            };
+            scan_profile(backend, &kernel, out);
         }
     }
     out.window = m;
@@ -855,13 +1075,13 @@ fn cap_non_finite(profile: &mut [f64]) {
 /// through one order-independent lexicographic merge rule, so the result
 /// is **bitwise identical at every thread count and on every backend**.
 pub fn stomp_metric(x: &[f64], m: usize, metric: ProfileMetric) -> Result<MatrixProfile> {
-    STOMP_WS.with(|ws| {
+    with_workspace(|ws| {
         let mut out = MatrixProfile {
             profile: Vec::new(),
             index: Vec::new(),
             window: m,
         };
-        stomp_metric_with(x, m, metric, &mut ws.borrow_mut(), &mut out)?;
+        stomp_metric_with(x, m, metric, ws, &mut out)?;
         Ok(out)
     })
 }
@@ -891,13 +1111,13 @@ pub fn stomp_metric_with(
 /// real-time detector actually gets to see. Warm-up windows with no
 /// admissible left neighbor score 0 (no evidence either way).
 pub fn left_stomp(x: &[f64], m: usize, metric: ProfileMetric) -> Result<MatrixProfile> {
-    STOMP_WS.with(|ws| {
+    with_workspace(|ws| {
         let mut out = MatrixProfile {
             profile: Vec::new(),
             index: Vec::new(),
             window: m,
         };
-        left_stomp_with(x, m, metric, &mut ws.borrow_mut(), &mut out)?;
+        left_stomp_with(x, m, metric, ws, &mut out)?;
         Ok(out)
     })
 }
@@ -932,6 +1152,116 @@ pub fn left_stomp_with(
         }
     }
     Ok(())
+}
+
+/// Prefix join: for every test window `i ≥ train_len`, the z-normalized
+/// distance to its nearest train window `j ≤ train_len − m` — the
+/// semi-supervised subsequence 1-NN score of
+/// [`crate::baselines::SubsequenceKnn`]. Train windows are not scored:
+/// their profile entries are 0 and their index the placeholder 0, so
+/// [`MatrixProfile::point_scores`] gives the test points their 1-NN score
+/// and the train points 0. A test region shorter than `m` scores nothing.
+///
+/// The join walks the diagonals `k = i − j` of the test × train block
+/// with the self-join's machinery: each diagonal is seeded once, from the
+/// sliding dot products of window 0 against the test region (`k ≥
+/// train_len`) and of the first test window against the train prefix
+/// (`k < train_len`), and then costs one STOMP recurrence step per cell
+/// instead of a per-window MASS call. Scorer choice, SIMD lane groups, band
+/// fan-out and the lexicographic tie rule are those of [`stomp_metric`], so
+/// the result is bitwise identical at every thread count and on every
+/// backend; it matches per-window MASS to rounding.
+pub fn prefix_join(x: &[f64], m: usize, train_len: usize) -> Result<MatrixProfile> {
+    let count = tsad_core::windows::subsequence_count(x.len(), m)?;
+    if train_len < m || train_len > x.len() {
+        return Err(CoreError::BadParameter {
+            name: "train_len",
+            value: train_len as f64,
+            expected: "a train prefix of at least one window, within the series",
+        });
+    }
+    let mut out = MatrixProfile {
+        profile: vec![0.0; count],
+        index: vec![0; count],
+        window: m,
+    };
+    if train_len < count {
+        with_workspace(|ws| join_into(x, m, train_len, ws, &mut out))?;
+    }
+    Ok(out)
+}
+
+/// Runs the prefix join (`m ≤ train_len < count`) into the test rows of
+/// `out`, whose profile and index are `count` long.
+fn join_into(
+    x: &[f64],
+    m: usize,
+    train_len: usize,
+    ws: &mut StompWorkspace,
+    out: &mut MatrixProfile,
+) -> Result<()> {
+    let count = out.profile.len();
+    let t = train_len;
+    let cols = t - m + 1;
+    WindowMoments::compute_with(x, m, &mut ws.mscratch, &mut ws.moments)?;
+    tsad_core::fft::sliding_dot_product_into(&x[..m], &x[t..], &mut ws.first_row)?;
+    tsad_core::fft::sliding_dot_product_into(&x[t..t + m], &x[..t], &mut ws.test_row)?;
+    let StompWorkspace {
+        moments,
+        first_row,
+        test_row,
+        ..
+    } = ws;
+    // only the windows the join touches decide the scorer
+    let stds = &moments.stds;
+    let degenerate = stds[..cols].iter().chain(&stds[t..]).any(|&s| s < 1e-9);
+    if degenerate {
+        let scorer = ZnormScorer {
+            m,
+            means: &moments.means,
+            stds,
+        };
+        let kernel = JoinScan {
+            x,
+            m,
+            train_len: t,
+            cols,
+            count,
+            head_row: first_row,
+            test_row,
+            scorer,
+        };
+        join_profile(Backend::Scalar, &kernel, out);
+    } else {
+        let scorer = corr_scorer(moments, m);
+        let kernel = JoinScan {
+            x,
+            m,
+            train_len: t,
+            cols,
+            count,
+            head_row: first_row,
+            test_row,
+            scorer,
+        };
+        join_profile(simd::current(), &kernel, out);
+    }
+    Ok(())
+}
+
+/// Runs one prefix-join scan into the test rows of `out` and finalizes
+/// their scores to distances in place.
+fn join_profile<S: LaneScorer>(
+    backend: Backend,
+    kernel: &JoinScan<'_, S>,
+    out: &mut MatrixProfile,
+) {
+    let t = kernel.train_len;
+    let profile = &mut out.profile[t..];
+    scan_bands(backend, kernel, profile, &mut out.index[t..]);
+    for p in profile {
+        *p = kernel.scorer.finalize(*p);
+    }
 }
 
 /// STAMP: the same matrix profile computed with one MASS call per window.

@@ -6,7 +6,7 @@
 //! comparing with exact equality — not a tolerance.
 
 use proptest::prelude::*;
-use tsad_detectors::matrix_profile::{left_stomp, stamp, stomp, ProfileMetric};
+use tsad_detectors::matrix_profile::{left_stomp, prefix_join, stamp, stomp, ProfileMetric};
 use tsad_detectors::merlin::{merlin, merlin_top};
 use tsad_parallel::with_threads;
 
@@ -73,6 +73,29 @@ fn left_stomp_is_thread_count_invariant() {
         })
         .collect();
     assert_profiles_bitwise_equal(&runs);
+}
+
+#[test]
+fn prefix_join_is_thread_count_invariant() {
+    // a long train prefix, a short one, and a series with flat stretches
+    // on both sides of the split (the exact degenerate-window scorer)
+    let mut flat = wavy(600, 5);
+    flat[40..90].fill(1.5);
+    flat[420..470].fill(1.5);
+    for (x, m, train_len) in [
+        (wavy(900, 13), 24, 600),
+        (wavy(900, 17), 24, 100),
+        (flat, 16, 300),
+    ] {
+        let runs: Vec<_> = THREAD_COUNTS
+            .iter()
+            .map(|&t| {
+                let mp = with_threads(t, || prefix_join(&x, m, train_len).unwrap());
+                (t, mp.profile, mp.index)
+            })
+            .collect();
+        assert_profiles_bitwise_equal(&runs);
+    }
 }
 
 #[test]

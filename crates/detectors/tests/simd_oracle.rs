@@ -1,6 +1,7 @@
 //! SIMD-vs-scalar oracles for the vectorized detector kernels.
 //!
-//! STOMP (both metrics, full and left profiles) must agree with the
+//! STOMP (both metrics, full and left profiles) and the prefix join must
+//! agree with the
 //! forced-scalar twin **bitwise**: the lane chains replicate the scalar
 //! operation chains exactly, and the order-independent tie rule makes lane
 //! grouping and the ragged prologues/epilogues invisible (DESIGN.md §11).
@@ -14,7 +15,9 @@
 
 use proptest::prelude::*;
 use tsad_core::simd::{self, Backend};
-use tsad_detectors::matrix_profile::{left_stomp, stomp_metric, MatrixProfile, ProfileMetric};
+use tsad_detectors::matrix_profile::{
+    left_stomp, prefix_join, stomp_metric, MatrixProfile, ProfileMetric,
+};
 use tsad_detectors::merlin::merlin;
 
 fn series(n: usize, seed: u64) -> Vec<f64> {
@@ -102,6 +105,34 @@ fn left_stomp_is_bitwise_identical_across_backends() {
 }
 
 #[test]
+fn prefix_join_is_bitwise_identical_across_backends() {
+    // (n, m, train_len): diagonals shorter than a lane group at both ends
+    // of the test x train block, a single test window, a train prefix of
+    // exactly 2m, and lane remainders everywhere
+    let shapes = [
+        (777usize, 33usize, 400usize),
+        (515, 128, 256),
+        (300, 16, 284),
+        (97, 13, 30),
+        (1024, 100, 200),
+        (260, 7, 250),
+    ];
+    for (n, m, train_len) in shapes {
+        let x = series(n, 11);
+        let reference =
+            simd::with_backend(Backend::Scalar, || prefix_join(&x, m, train_len).unwrap());
+        for be in wide_backends() {
+            let wide = simd::with_backend(be, || prefix_join(&x, m, train_len).unwrap());
+            assert_profiles_bitwise(
+                &wide,
+                &reference,
+                &format!("{} prefix_join n={n} m={m} train={train_len}", be.name()),
+            );
+        }
+    }
+}
+
+#[test]
 fn merlin_agrees_with_scalar_at_tolerance() {
     // MERLIN's pair distance reassociates the dot product on wide
     // backends, so the oracle is relative tolerance, not bitwise — but the
@@ -169,6 +200,29 @@ proptest! {
                     wide.profile[i].to_bits(),
                     reference.profile[i].to_bits(),
                     "{} profile[{}] n={} m={}", be.name(), i, x.len(), m
+                );
+                prop_assert_eq!(wide.index[i], reference.index[i]);
+            }
+        }
+    }
+
+    #[test]
+    fn fuzzed_prefix_join_is_bitwise_identical_across_backends(
+        x in prop::collection::vec(-50.0f64..50.0, 60..220),
+        m in 4usize..24,
+        frac in 0.2f64..0.8,
+    ) {
+        let train_len = ((x.len() as f64 * frac) as usize).max(m);
+        prop_assume!(train_len + m <= x.len());
+        let reference =
+            simd::with_backend(Backend::Scalar, || prefix_join(&x, m, train_len).unwrap());
+        for be in wide_backends() {
+            let wide = simd::with_backend(be, || prefix_join(&x, m, train_len).unwrap());
+            for i in 0..reference.profile.len() {
+                prop_assert_eq!(
+                    wide.profile[i].to_bits(),
+                    reference.profile[i].to_bits(),
+                    "{} profile[{}] n={} m={} train={}", be.name(), i, x.len(), m, train_len
                 );
                 prop_assert_eq!(wide.index[i], reference.index[i]);
             }

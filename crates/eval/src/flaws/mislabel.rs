@@ -14,8 +14,9 @@
 //!   than typical unlabeled subsequences are to each other (Fig. 6's
 //!   region `F`) is a suspected false positive.
 
-use tsad_core::dist::mass;
+use tsad_core::dist::{mass, mass_with_moments};
 use tsad_core::error::Result;
+use tsad_core::windows::WindowMoments;
 use tsad_core::{Dataset, Region};
 
 /// A suspected false negative: an unlabeled region nearly identical to a
@@ -150,10 +151,14 @@ pub fn find_unremarkable_labels(
             let m = 24.min(x.len() / 4);
             (m, r.center().saturating_sub(m / 2).min(x.len() - m))
         };
-        let query = &x[start..start + m];
-        let dists = mass(query, x)?;
+        // one moments pass over the series and one pair of buffers serve
+        // this query and every background query below (bitwise equal to
+        // `mass`)
+        let moments = WindowMoments::compute(x, m)?;
+        let (mut qt, mut d) = (Vec::new(), Vec::new());
+        mass_with_moments(&x[start..start + m], &moments, x, &mut qt, &mut d)?;
         let excl = m.max(r.len());
-        let nn = dists
+        let nn = d
             .iter()
             .enumerate()
             .filter(|(j, _)| {
@@ -182,7 +187,7 @@ pub fn find_unremarkable_labels(
                 .iter()
                 .any(|lr| lr.dilate(m, labels.len()).overlaps(&w_region));
             if !overlaps_label {
-                let d = mass(&x[j..j + m], x)?;
+                mass_with_moments(&x[j..j + m], &moments, x, &mut qt, &mut d)?;
                 let w_nn = d
                     .iter()
                     .enumerate()

@@ -21,12 +21,13 @@
 //! * **Composable.** A [`FaultProfile`] is an ordered list of
 //!   [`FaultKind`]s applied in sequence; the [`InjectionReport`] records
 //!   how many events and points each kind touched.
-//! * **Dependency-free.** Usable from any crate (including `no_std`-ish
-//!   contexts) without dragging in the detector stack.
+//! * **Light.** Depends only on `tsad-core` (for its FNV-1a digest), so
+//!   any crate can use it without dragging in the detector stack.
 
 pub mod crash;
 
 pub use crash::{Admitted, CrashFuse};
+use tsad_core::ckpt::digest64;
 
 use std::fmt;
 
@@ -288,7 +289,7 @@ impl FaultProfile {
     pub fn inject_in_place(&self, xs: &mut [f64], seed: u64) -> InjectionReport {
         // mix the profile name into the seed so two profiles with the same
         // seed do not corrupt the same positions
-        let mut rng = SplitMix64::new(seed ^ fnv1a(self.name.as_bytes()));
+        let mut rng = SplitMix64::new(seed ^ digest64(self.name.as_bytes()));
         let mut kinds = Vec::with_capacity(self.kinds.len());
         for kind in &self.kinds {
             let (events, points) = kind.apply(xs, &mut rng);
@@ -304,15 +305,6 @@ impl FaultProfile {
             kinds,
         }
     }
-}
-
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
 }
 
 /// What one kind did during an injection.

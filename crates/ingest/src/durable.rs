@@ -1,6 +1,6 @@
 //! Durable serving: the WAL-backed engine and its crash-recovery glue.
 //!
-//! The non-durable [`Engine`](crate::Engine) ACKs a batch the moment the
+//! The non-durable [`Engine`] ACKs a batch the moment the
 //! fleet has scored it; a `kill -9` then silently forgets every ACKed
 //! point. [`DurableEngine`] closes that gap by logging each admitted
 //! batch to a [`tsad_wal::Wal`] *before* it touches detector state

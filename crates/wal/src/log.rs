@@ -432,7 +432,7 @@ pub(crate) struct ResumeState {
 }
 
 /// The outcome of scanning a log directory: the checkpoint to restore,
-/// the batches to replay after it, and the state needed to [`resume`]
+/// the batches to replay after it, and the state needed to [`resume`](Wal::resume)
 /// appending.
 #[derive(Debug)]
 pub struct Recovered {
@@ -706,7 +706,7 @@ fn open_segment<D: WalDir>(
 
 impl<D: WalDir> Wal<D> {
     /// Creates a fresh log in `dir`. Fails if `dir` already holds
-    /// segments — recover those with [`recover`] + [`resume`] instead of
+    /// segments — recover those with [`recover`] + [`resume`](Wal::resume) instead of
     /// silently shadowing them.
     pub fn create(dir: D, cfg: WalConfig) -> Result<Self> {
         if dir.list()?.iter().any(|n| parse_seg_name(n).is_some()) {
@@ -796,7 +796,7 @@ impl<D: WalDir> Wal<D> {
     }
 
     /// Whether an earlier append-path I/O failure poisoned the log
-    /// (every further append is refused until [`recover`] + [`resume`]).
+    /// (every further append is refused until [`recover`] + [`resume`](Wal::resume)).
     pub fn is_poisoned(&self) -> bool {
         self.poisoned
     }
