@@ -4,14 +4,14 @@
 //! repro [--seed N] [--obs-summary] <experiment>...
 //! repro all                             # everything (table1 takes ~1 min in release)
 //! repro table1 fig8 fig13               # a subset
-//! repro --bench-out /tmp/fresh.json bench-json
-//! repro bench-compare --baseline BENCH_kernels.json --fresh /tmp/fresh.json
+//! repro --out /tmp/fresh.json bench-json
+//! repro gate --baseline BENCH_kernels.json --fresh /tmp/fresh.json
 //! ```
 
 use std::process::ExitCode;
 
 use tsad_bench::experiments::*;
-use tsad_bench::DEFAULT_SEED;
+use tsad_bench::{gate, DEFAULT_SEED};
 
 // Count allocations in this binary so `bench-json` can report
 // `allocs_per_iter` honestly; library consumers never see this allocator.
@@ -21,6 +21,7 @@ static ALLOC: tsad_bench::alloc_track::CountingAlloc = tsad_bench::alloc_track::
 /// Wall-clock time per experiment (one sample per `run_one` call).
 static EXPERIMENT_NS: tsad_obs::Span = tsad_obs::Span::new("repro.experiment_ns");
 
+/// The paper's experiments, in the order `repro all` runs them.
 const EXPERIMENTS: &[&str] = &[
     "table1",
     "fig1",
@@ -34,7 +35,6 @@ const EXPERIMENTS: &[&str] = &[
     "fig9",
     "fig10",
     "fig11",
-    "fig12",
     "fig13",
     "density",
     "summary",
@@ -46,47 +46,37 @@ const EXPERIMENTS: &[&str] = &[
     "audit",
     "stream",
     "faults",
-    "faults-json",
-    "faults-compare",
     "catalog",
-    "catalog-json",
-    "catalog-compare",
-    "detectors-md",
+];
+
+/// Run only when named: `fig12` (printed with `fig11`), the document
+/// generators, the gate, and the serving and durability demos.
+const TOOLS: &[&str] = &[
+    "fig12",
     "bench-json",
-    "bench-compare",
-    "fleet",
+    "faults-json",
+    "catalog-json",
     "fleet-json",
-    "fleet-compare",
-    "loadgen",
     "ingest-json",
-    "ingest-compare",
-    "wal",
     "wal-json",
-    "wal-compare",
+    "detectors-md",
+    "gate",
+    "fleet",
+    "loadgen",
+    "wal",
     "write-archive",
 ];
 
 fn usage() -> String {
     format!(
-        "usage: repro [--seed N] [--obs-summary] [--bench-out PATH] \
-         [--baseline PATH] [--fresh PATH] <experiment>...\n       \
-         repro all\nexperiments: {}\n\
+        "usage: repro [--seed N] [--obs-summary] [--out PATH] [--baseline PATH] \
+         [--fresh PATH] <experiment>...\n       \
+         repro all\nexperiments: {}\nalso: {}\n\
          --obs-summary     print the tsad-obs metric summary to stderr at exit\n\
-         --bench-out PATH  where bench-json writes its document (default BENCH_kernels.json)\n\
-         --baseline PATH   bench-compare: the committed baseline (default BENCH_kernels.json)\n\
-         --fresh PATH      bench-compare / faults-compare: the freshly generated document (required)\n\
-         --faults-out PATH      where faults-json writes its document (default BENCH_faults.json)\n\
-         --faults-baseline PATH faults-compare: the committed baseline (default BENCH_faults.json)\n\
-         --catalog-out PATH      where catalog-json writes its document (default BENCH_catalog.json)\n\
-         --catalog-baseline PATH catalog-compare: the committed baseline (default BENCH_catalog.json)\n\
-         --detectors-out PATH    where detectors-md writes the catalog doc (default DETECTORS.md)\n\
-         --fleet-series N       fleet / fleet-json: series count (defaults: fleet 1000000, fleet-json 100000)\n\
-         --fleet-out PATH       where fleet-json writes its document (default BENCH_fleet.json)\n\
-         --fleet-baseline PATH  fleet-compare: the committed baseline (default BENCH_fleet.json)\n\
-         --ingest-out PATH      where ingest-json writes its document (default BENCH_ingest.json)\n\
-         --ingest-baseline PATH ingest-compare: the committed baseline (default BENCH_ingest.json)\n\
-         --wal-out PATH         where wal-json writes its document (default BENCH_wal.json)\n\
-         --wal-baseline PATH    wal-compare: the committed baseline (default BENCH_wal.json)\n\
+         --out PATH        where *-json / detectors-md write (default: the committed file)\n\
+         --fresh PATH      gate: the freshly generated document (required)\n\
+         --baseline PATH   gate: the committed baseline (default: the file the fresh schema names)\n\
+         --fleet-series N  fleet / fleet-json: series count (defaults: fleet 1000000, fleet-json 100000)\n\
          --addr HOST:PORT  loadgen: drive an already-running server (default: self-hosted on 127.0.0.1:0)\n\
          --series N        loadgen: series-id space (default 10000)\n\
          --rps N           loadgen: target requests/second, 0 = unpaced (default 0)\n\
@@ -95,7 +85,8 @@ fn usage() -> String {
          --requests N      loadgen: total requests, 0 = run for --duration-ms (default 10000)\n\
          --duration-ms N   loadgen: run length when --requests 0 (default 5000)\n\
          --batch-points N  loadgen: points per request (default 64)",
-        EXPERIMENTS.join(", ")
+        EXPERIMENTS.join(", "),
+        TOOLS.join(", ")
     )
 }
 
@@ -103,21 +94,10 @@ fn usage() -> String {
 struct Options {
     seed: u64,
     obs_summary: bool,
-    bench_out: String,
-    baseline: String,
+    out: Option<String>,
+    baseline: Option<String>,
     fresh: Option<String>,
-    faults_out: String,
-    faults_baseline: String,
-    catalog_out: String,
-    catalog_baseline: String,
-    detectors_out: String,
     fleet_series: Option<u64>,
-    fleet_out: String,
-    fleet_baseline: String,
-    ingest_out: String,
-    ingest_baseline: String,
-    wal_out: String,
-    wal_baseline: String,
     loadgen: ingest_bench::LoadGenCli,
 }
 
@@ -126,24 +106,28 @@ impl Default for Options {
         Self {
             seed: DEFAULT_SEED,
             obs_summary: false,
-            bench_out: "BENCH_kernels.json".to_string(),
-            baseline: "BENCH_kernels.json".to_string(),
+            out: None,
+            baseline: None,
             fresh: None,
-            faults_out: "BENCH_faults.json".to_string(),
-            faults_baseline: "BENCH_faults.json".to_string(),
-            catalog_out: "BENCH_catalog.json".to_string(),
-            catalog_baseline: "BENCH_catalog.json".to_string(),
-            detectors_out: "DETECTORS.md".to_string(),
             fleet_series: None,
-            fleet_out: "BENCH_fleet.json".to_string(),
-            fleet_baseline: "BENCH_fleet.json".to_string(),
-            ingest_out: "BENCH_ingest.json".to_string(),
-            ingest_baseline: "BENCH_ingest.json".to_string(),
-            wal_out: "BENCH_wal.json".to_string(),
-            wal_baseline: "BENCH_wal.json".to_string(),
             loadgen: ingest_bench::LoadGenCli::default(),
         }
     }
+}
+
+/// Writes a rendered `BENCH_*.json` document to `--out`, by default the
+/// committed file its schema names; returns the path written.
+fn write_doc(opts: &Options, json: &str) -> Result<String, Box<dyn std::error::Error>> {
+    let path = match &opts.out {
+        Some(path) => path.clone(),
+        None => gate::schema_of(json)?.file.to_string(),
+    };
+    std::fs::write(&path, json)?;
+    Ok(path)
+}
+
+fn read(path: &str) -> Result<String, String> {
+    std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))
 }
 
 fn run_one(name: &str, opts: &Options) -> Result<(), Box<dyn std::error::Error>> {
@@ -238,22 +222,8 @@ fn run_one(name: &str, opts: &Options) -> Result<(), Box<dyn std::error::Error>>
         "faults" => print!("{}", faults::render(&faults::run(seed)?)),
         "faults-json" => {
             let exp = faults::run(seed)?;
-            let json = faults::render_json(&exp);
-            std::fs::write(&opts.faults_out, &json)?;
-            println!("wrote {} ({} rows)", opts.faults_out, exp.rows.len());
-        }
-        "faults-compare" => {
-            let fresh = opts
-                .fresh
-                .as_deref()
-                .ok_or_else(|| format!("faults-compare needs --fresh PATH\n{}", usage()))?;
-            match faults::run_files(&opts.faults_baseline, fresh) {
-                Ok(summary) => print!("{summary}"),
-                Err(failures) => {
-                    print!("{failures}");
-                    return Err("faults-compare gate failed".into());
-                }
-            }
+            let path = write_doc(opts, &faults::render_json(&exp))?;
+            println!("wrote {path} ({} rows)", exp.rows.len());
         }
         "catalog" => print!(
             "{}",
@@ -261,33 +231,20 @@ fn run_one(name: &str, opts: &Options) -> Result<(), Box<dyn std::error::Error>>
         ),
         "catalog-json" => {
             let exp = catalog::run(seed, &catalog::CatalogConfig::ci())?;
-            let json = catalog::render_json(&exp);
-            std::fs::write(&opts.catalog_out, &json)?;
-            println!("wrote {} ({} rows)", opts.catalog_out, exp.rows.len());
-        }
-        "catalog-compare" => {
-            let fresh = opts
-                .fresh
-                .as_deref()
-                .ok_or_else(|| format!("catalog-compare needs --fresh PATH\n{}", usage()))?;
-            match catalog::run_files(&opts.catalog_baseline, fresh) {
-                Ok(table) => print!("{table}"),
-                Err(table) => {
-                    print!("{table}");
-                    return Err("catalog-compare gate failed".into());
-                }
-            }
+            let path = write_doc(opts, &catalog::render_json(&exp))?;
+            println!("wrote {path} ({} rows)", exp.rows.len());
         }
         "detectors-md" => {
             let md = catalog::detectors_md();
-            std::fs::write(&opts.detectors_out, &md)?;
-            println!("wrote {} ({} bytes)", opts.detectors_out, md.len());
+            let path = opts.out.as_deref().unwrap_or("DETECTORS.md");
+            std::fs::write(path, &md)?;
+            println!("wrote {path} ({} bytes)", md.len());
         }
         "bench-json" => {
             let doc = bench_json::run(seed, &bench_json::BenchConfig::default())?;
             let json = bench_json::render(&doc);
-            std::fs::write(&opts.bench_out, &json)?;
-            println!("wrote {} ({} kernels):", opts.bench_out, doc.kernels.len());
+            let path = write_doc(opts, &json)?;
+            println!("wrote {path} ({} kernels):", doc.kernels.len());
             print!("{json}");
         }
         "fleet" => {
@@ -307,22 +264,9 @@ fn run_one(name: &str, opts: &Options) -> Result<(), Box<dyn std::error::Error>>
             }
             let b = fleet::run(seed, &cfg)?;
             let json = fleet::render_json(&b);
-            std::fs::write(&opts.fleet_out, &json)?;
-            println!("wrote {} ({} series):", opts.fleet_out, b.cfg.series);
+            let path = write_doc(opts, &json)?;
+            println!("wrote {path} ({} series):", b.cfg.series);
             print!("{json}");
-        }
-        "fleet-compare" => {
-            let fresh = opts
-                .fresh
-                .as_deref()
-                .ok_or_else(|| format!("fleet-compare needs --fresh PATH\n{}", usage()))?;
-            match bench_compare::run_fleet_files(&opts.fleet_baseline, fresh) {
-                Ok(table) => print!("{table}"),
-                Err(table) => {
-                    print!("{table}");
-                    return Err("fleet-compare gate failed".into());
-                }
-            }
         }
         "loadgen" => match ingest_bench::run_loadgen(&opts.loadgen, seed) {
             Ok(report) => print!("{report}"),
@@ -330,28 +274,13 @@ fn run_one(name: &str, opts: &Options) -> Result<(), Box<dyn std::error::Error>>
         },
         "ingest-json" => {
             let b = ingest_bench::run(seed, &ingest_bench::IngestBenchConfig::ci())?;
-            let json = ingest_bench::render_json(&b);
-            std::fs::write(&opts.ingest_out, &json)?;
+            let path = write_doc(opts, &ingest_bench::render_json(&b))?;
             println!(
-                "wrote {} ({} stages, {} transports):",
-                opts.ingest_out,
+                "wrote {path} ({} stages, {} transports):",
                 b.stages.len(),
                 b.loadgen.len()
             );
             print!("{}", ingest_bench::render(&b));
-        }
-        "ingest-compare" => {
-            let fresh = opts
-                .fresh
-                .as_deref()
-                .ok_or_else(|| format!("ingest-compare needs --fresh PATH\n{}", usage()))?;
-            match bench_compare::run_ingest_files(&opts.ingest_baseline, fresh) {
-                Ok(table) => print!("{table}"),
-                Err(table) => {
-                    print!("{table}");
-                    return Err("ingest-compare gate failed".into());
-                }
-            }
         }
         "wal" => print!(
             "{}",
@@ -359,35 +288,24 @@ fn run_one(name: &str, opts: &Options) -> Result<(), Box<dyn std::error::Error>>
         ),
         "wal-json" => {
             let b = wal_bench::run(seed, &wal_bench::WalBenchConfig::ci())?;
-            let json = wal_bench::render_json(&b);
-            std::fs::write(&opts.wal_out, &json)?;
-            println!("wrote {} ({} policies):", opts.wal_out, b.rows.len());
+            let path = write_doc(opts, &wal_bench::render_json(&b))?;
+            println!("wrote {path} ({} policies):", b.rows.len());
             print!("{}", wal_bench::render(&b));
         }
-        "wal-compare" => {
-            let fresh = opts
+        "gate" => {
+            let fresh_path = opts
                 .fresh
                 .as_deref()
-                .ok_or_else(|| format!("wal-compare needs --fresh PATH\n{}", usage()))?;
-            match bench_compare::run_wal_files(&opts.wal_baseline, fresh) {
-                Ok(table) => print!("{table}"),
-                Err(table) => {
-                    print!("{table}");
-                    return Err("wal-compare gate failed".into());
-                }
-            }
-        }
-        "bench-compare" => {
-            let fresh = opts
-                .fresh
-                .as_deref()
-                .ok_or_else(|| format!("bench-compare needs --fresh PATH\n{}", usage()))?;
-            match bench_compare::run_files(&opts.baseline, fresh) {
-                Ok(table) => print!("{table}"),
-                Err(table) => {
-                    print!("{table}");
-                    return Err("bench-compare gate failed".into());
-                }
+                .ok_or_else(|| format!("gate needs --fresh PATH\n{}", usage()))?;
+            let fresh = read(fresh_path)?;
+            let baseline_path = match &opts.baseline {
+                Some(path) => path.clone(),
+                None => gate::schema_of(&fresh)?.file.to_string(),
+            };
+            let report = gate::compare(&read(&baseline_path)?, &fresh)?;
+            print!("{}", gate::render(&report));
+            if !report.passed() {
+                return Err(format!("{fresh_path} fails the gate against {baseline_path}").into());
             }
         }
         "write-archive" => {
@@ -430,48 +348,11 @@ fn parse_options(args: &mut Vec<String>) -> Result<Options, String> {
         args.remove(pos);
         opts.obs_summary = true;
     }
-    if let Some(v) = take_value_flag(args, "--bench-out")? {
-        opts.bench_out = v;
-    }
-    if let Some(v) = take_value_flag(args, "--baseline")? {
-        opts.baseline = v;
-    }
+    opts.out = take_value_flag(args, "--out")?;
+    opts.baseline = take_value_flag(args, "--baseline")?;
     opts.fresh = take_value_flag(args, "--fresh")?;
-    if let Some(v) = take_value_flag(args, "--faults-out")? {
-        opts.faults_out = v;
-    }
-    if let Some(v) = take_value_flag(args, "--faults-baseline")? {
-        opts.faults_baseline = v;
-    }
-    if let Some(v) = take_value_flag(args, "--catalog-out")? {
-        opts.catalog_out = v;
-    }
-    if let Some(v) = take_value_flag(args, "--catalog-baseline")? {
-        opts.catalog_baseline = v;
-    }
-    if let Some(v) = take_value_flag(args, "--detectors-out")? {
-        opts.detectors_out = v;
-    }
     if let Some(v) = take_value_flag(args, "--fleet-series")? {
         opts.fleet_series = Some(v.parse().map_err(|e| format!("bad fleet series: {e}"))?);
-    }
-    if let Some(v) = take_value_flag(args, "--fleet-out")? {
-        opts.fleet_out = v;
-    }
-    if let Some(v) = take_value_flag(args, "--fleet-baseline")? {
-        opts.fleet_baseline = v;
-    }
-    if let Some(v) = take_value_flag(args, "--ingest-out")? {
-        opts.ingest_out = v;
-    }
-    if let Some(v) = take_value_flag(args, "--ingest-baseline")? {
-        opts.ingest_baseline = v;
-    }
-    if let Some(v) = take_value_flag(args, "--wal-out")? {
-        opts.wal_out = v;
-    }
-    if let Some(v) = take_value_flag(args, "--wal-baseline")? {
-        opts.wal_baseline = v;
     }
     opts.loadgen.addr = take_value_flag(args, "--addr")?;
     if let Some(v) = take_value_flag(args, "--series")? {
@@ -513,33 +394,7 @@ fn main() -> ExitCode {
         return ExitCode::FAILURE;
     }
     let list: Vec<String> = if args.iter().any(|a| a == "all") {
-        EXPERIMENTS
-            .iter()
-            .filter(|e| {
-                !matches!(
-                    **e,
-                    "fig12"
-                        | "write-archive"
-                        | "bench-json"
-                        | "bench-compare"
-                        | "faults-json"
-                        | "faults-compare"
-                        | "catalog-json"
-                        | "catalog-compare"
-                        | "detectors-md"
-                        | "fleet"
-                        | "fleet-json"
-                        | "fleet-compare"
-                        | "loadgen"
-                        | "ingest-json"
-                        | "ingest-compare"
-                        | "wal"
-                        | "wal-json"
-                        | "wal-compare"
-                )
-            })
-            .map(|s| s.to_string())
-            .collect()
+        EXPERIMENTS.iter().map(|s| s.to_string()).collect()
     } else {
         args
     };

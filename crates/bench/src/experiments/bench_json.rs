@@ -13,8 +13,9 @@
 //! are machine-specific. The allocation counts, in contrast, are exact and
 //! portable, so CI does gate on `allocs_per_iter == 0` for the three
 //! kernels with allocation-free contracts (`sliding_dot_product`, `stomp`,
-//! `merlin`); the wall-clock columns are gated *relatively* by the
-//! `bench-compare` subcommand (fresh run vs the committed baseline).
+//! `merlin`); the wall-clock columns are gated *relatively* by
+//! `repro -- gate` (fresh run vs the committed baseline; rules in
+//! [`crate::gate::SCHEMAS`]).
 //!
 //! Since schema v3 every kernel entry embeds a per-kernel `tsad-obs`
 //! snapshot (`"obs"`, schema `tsad-obs/v1`): FFT plan-cache hit rates,

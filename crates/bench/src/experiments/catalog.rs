@@ -10,15 +10,16 @@
 //! "illusion of progress".
 //!
 //! Hit counts are exact integers, deterministic in the seed, so
-//! `BENCH_catalog.json` is gated like `BENCH_faults.json`: a vanished
+//! `BENCH_catalog.json` is gated like `BENCH_faults.json` (by
+//! `repro -- gate`, rules in [`crate::gate::SCHEMAS`]): a vanished
 //! (detector, family) row or a changed hit count fails the `catalog-smoke`
 //! CI job outright; per-detector wall time is gated at the usual
-//! [`gate::MAX_WALL_RATIO`] above the [`WALL_NOISE_FLOOR_NS`] noise
-//! floor. The scoring loop is deliberately sequential
+//! [`crate::gate::MAX_WALL_RATIO`] above the
+//! [`crate::gate::WALL_NOISE_FLOOR_NS`] noise floor. The scoring loop is
+//! deliberately sequential
 //! so wall numbers do not depend on `TSAD_THREADS` — the smoke job runs
 //! the same gate at 1 and 4 threads.
 
-use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::time::Instant;
 
@@ -27,9 +28,6 @@ use tsad_detectors::registry::{DetectorRegistry, Params};
 use tsad_eval::report::TextTable;
 use tsad_synth::yahoo::{self, Family};
 
-use crate::gate::{self, CompareReport, CompareRow};
-use crate::minijson::JsonValue;
-
 /// UCR-style slop appended to each labeled region (the archive convention
 /// the paper scores by).
 pub const SLOP: usize = 100;
@@ -37,14 +35,6 @@ pub const SLOP: usize = 100;
 /// Train prefix handed to every detector (the simulated series are 1400
 /// points; the real benchmark's splits hover around this fraction).
 pub const TRAIN_LEN: usize = 350;
-
-/// Per-detector walls below this (summed over families) are too small to
-/// ratio-gate honestly — a cheap baseline finishes the whole grid in a
-/// couple of milliseconds, where a page fault or scheduler tick reads as
-/// a 2x "regression". [`compare`] notes such rows instead of gating them;
-/// the expensive detectors (matrix profile, MERLIN, HOT SAX, 1-NN,
-/// isolation forest) are all far above the floor and stay gated.
-pub const WALL_NOISE_FLOOR_NS: u64 = 20_000_000;
 
 /// Experiment size knobs.
 #[derive(Debug, Clone, Copy)]
@@ -230,148 +220,6 @@ pub fn render_json(exp: &CatalogExperiment) -> String {
     out
 }
 
-fn extract_rows(doc_name: &str, doc: &JsonValue) -> std::result::Result<Vec<CatalogRow>, String> {
-    let rows = doc
-        .get("rows")
-        .and_then(JsonValue::as_arr)
-        .ok_or_else(|| format!("{doc_name}: missing \"rows\" array"))?;
-    rows.iter()
-        .map(|r| {
-            let field_str = |k: &str| {
-                r.get(k)
-                    .and_then(JsonValue::as_str)
-                    .map(str::to_string)
-                    .ok_or_else(|| format!("{doc_name}: row missing string {k:?}"))
-            };
-            let field_u64 = |k: &str| {
-                r.get(k)
-                    .and_then(JsonValue::as_u64)
-                    .ok_or_else(|| format!("{doc_name}: row missing integer {k:?}"))
-            };
-            Ok(CatalogRow {
-                detector: field_str("detector")?,
-                family: field_str("family")?,
-                hits: field_u64("hits")? as usize,
-                series: field_u64("series")? as usize,
-                wall_ns: field_u64("wall_ns")?,
-            })
-        })
-        .collect()
-}
-
-/// Compares a committed baseline against a fresh run:
-///
-/// * every baseline (detector, family) row must exist in the fresh run
-///   with **identical** `hits` and `series` (scores are deterministic, so
-///   there is no noise margin) — fresh-only rows are fine, that is what a
-///   catalog addition looks like;
-/// * per-detector wall time (summed over families) must stay within
-///   [`gate::MAX_WALL_RATIO`] — unless both sides sit under
-///   [`WALL_NOISE_FLOOR_NS`], where the ratio measures scheduler jitter
-///   rather than the detector and is only noted.
-pub fn compare(baseline: &str, fresh: &str) -> std::result::Result<CompareReport, String> {
-    let (base_doc, fresh_doc) = gate::parse_same_schema(
-        baseline,
-        fresh,
-        "tsad-bench-catalog/",
-        "cargo run --release -p tsad-bench --bin repro -- catalog-json",
-    )?;
-    let base = extract_rows("baseline", &base_doc)?;
-    let new = extract_rows("fresh", &fresh_doc)?;
-    let mut report = CompareReport::default();
-
-    for b in &base {
-        match new
-            .iter()
-            .find(|f| f.detector == b.detector && f.family == b.family)
-        {
-            None => report.failures.push(format!(
-                "row vanished from fresh run: detector={} family={}",
-                b.detector, b.family
-            )),
-            Some(f) if (f.hits, f.series) != (b.hits, b.series) => report.failures.push(format!(
-                "hit count changed: detector={} family={}: baseline {}/{} vs fresh {}/{}",
-                b.detector, b.family, b.hits, b.series, f.hits, f.series
-            )),
-            Some(_) => {}
-        }
-    }
-    for f in &new {
-        if !base
-            .iter()
-            .any(|b| b.detector == f.detector && b.family == f.family)
-        {
-            report.notes.push(format!(
-                "new row (not in baseline): detector={} family={}",
-                f.detector, f.family
-            ));
-        }
-    }
-
-    // wall ratio per detector, families summed: single cells are too small
-    // to gate without noise
-    let mut base_wall: BTreeMap<&str, u64> = BTreeMap::new();
-    for b in &base {
-        *base_wall.entry(b.detector.as_str()).or_default() += b.wall_ns;
-    }
-    let mut fresh_wall: BTreeMap<&str, u64> = BTreeMap::new();
-    for f in &new {
-        *fresh_wall.entry(f.detector.as_str()).or_default() += f.wall_ns;
-    }
-    for (det, &base_ns) in &base_wall {
-        let fresh_ns = fresh_wall.get(det).copied();
-        // below the noise floor the ratio is dominated by scheduler and
-        // page-fault jitter, not the detector: note it, never gate it
-        if base_ns < WALL_NOISE_FLOOR_NS && fresh_ns.is_some_and(|f| f < WALL_NOISE_FLOOR_NS) {
-            report.notes.push(format!(
-                "{det}: wall under the {} ms noise floor on both sides; ratio not gated",
-                WALL_NOISE_FLOOR_NS / 1_000_000
-            ));
-            report.rows.push(CompareRow {
-                name: (*det).to_string(),
-                base_ns: Some(base_ns),
-                fresh_ns,
-                ratio: fresh_ns.map(|f| f as f64 / base_ns as f64),
-                base_allocs: None,
-                fresh_allocs: None,
-            });
-            continue;
-        }
-        let ratio = gate::gate_wall_ratio(
-            &mut report,
-            det,
-            Some(base_ns),
-            fresh_ns,
-            gate::MAX_WALL_RATIO,
-        );
-        report.rows.push(CompareRow {
-            name: (*det).to_string(),
-            base_ns: Some(base_ns),
-            fresh_ns,
-            ratio,
-            base_allocs: None,
-            fresh_allocs: None,
-        });
-    }
-    Ok(report)
-}
-
-/// File-based gate for the CLI: reads both documents, returns the rendered
-/// report (as `Err` when the gate fails).
-pub fn run_files(baseline_path: &str, fresh_path: &str) -> std::result::Result<String, String> {
-    let baseline =
-        std::fs::read_to_string(baseline_path).map_err(|e| format!("read {baseline_path}: {e}"))?;
-    let fresh =
-        std::fs::read_to_string(fresh_path).map_err(|e| format!("read {fresh_path}: {e}"))?;
-    let report = compare(&baseline, &fresh)?;
-    let rendered = gate::render(&report);
-    if report.passed() {
-        Ok(rendered)
-    } else {
-        Err(rendered)
-    }
-}
-
 /// Generates `DETECTORS.md` from the live registry — the committed copy is
 /// CI-diffed against this output, so the docs cannot drift from the code.
 pub fn detectors_md() -> String {
@@ -432,6 +280,7 @@ pub fn detectors_md() -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::gate::{compare, WALL_NOISE_FLOOR_NS};
 
     fn tiny() -> CatalogExperiment {
         run(7, &CatalogConfig { per_family: 1 }).unwrap()

@@ -19,8 +19,9 @@
 //!
 //! Every number here is a deterministic function of the seed — no wall
 //! clock — so `BENCH_faults.json` is byte-stable and CI gates on *exact*
-//! row equality ([`compare`]): a vanished profile, detector, or flipped
-//! outcome fails the `fault-matrix` job.
+//! row equality (`repro -- gate`, rules in [`crate::gate::SCHEMAS`]): a
+//! vanished profile, detector, or flipped outcome fails the `fault-matrix`
+//! job.
 
 use std::fmt::Write as _;
 
@@ -35,8 +36,6 @@ use tsad_stream::{
     NanPolicy, Sanitized, StreamingCusum, StreamingDetector, StreamingGlobalZScore,
     StreamingMovingAvgResidual, StreamingOneLiner,
 };
-
-use crate::minijson::{parse, JsonValue};
 
 /// UCR-style slop appended to each labeled region when scoring alarms.
 const SLOP: usize = 100;
@@ -255,107 +254,30 @@ pub fn render_json(exp: &FaultsExperiment) -> String {
     out
 }
 
-fn extract_rows(doc_name: &str, text: &str) -> std::result::Result<Vec<FaultRow>, String> {
-    let doc = parse(text).map_err(|e| format!("{doc_name}: {e}"))?;
-    let schema = doc
-        .get("schema")
-        .and_then(JsonValue::as_str)
-        .ok_or_else(|| format!("{doc_name}: missing \"schema\""))?;
-    if !schema.starts_with("tsad-bench-faults/") {
-        return Err(format!("{doc_name}: unexpected schema {schema:?}"));
-    }
-    let rows = doc
-        .get("rows")
-        .and_then(JsonValue::as_arr)
-        .ok_or_else(|| format!("{doc_name}: missing \"rows\" array"))?;
-    rows.iter()
-        .map(|r| {
-            let field_str = |k: &str| {
-                r.get(k)
-                    .and_then(JsonValue::as_str)
-                    .map(str::to_string)
-                    .ok_or_else(|| format!("{doc_name}: row missing string {k:?}"))
-            };
-            let field_u64 = |k: &str| {
-                r.get(k)
-                    .and_then(JsonValue::as_u64)
-                    .ok_or_else(|| format!("{doc_name}: row missing integer {k:?}"))
-            };
-            Ok(FaultRow {
-                profile: field_str("profile")?,
-                dataset: field_str("dataset")?,
-                detector: field_str("detector")?,
-                injected_points: field_u64("injected_points")? as usize,
-                quarantined: field_u64("quarantined")?,
-                ucr_hit: r
-                    .get("ucr_hit")
-                    .and_then(JsonValue::as_bool)
-                    .ok_or_else(|| format!("{doc_name}: row missing bool \"ucr_hit\""))?,
-                detected: field_u64("detected")? as usize,
-                regions: field_u64("regions")? as usize,
-                false_alarms: field_u64("false_alarms")? as usize,
-                total_alarms: field_u64("total_alarms")? as usize,
-            })
-        })
-        .collect()
-}
-
-/// Compares a committed baseline against a fresh run. The matrix is fully
-/// deterministic, so the gate is exact: every baseline row must exist in
-/// the fresh document with identical values. A vanished (profile, dataset,
-/// detector) row is a hard failure; fresh-only rows are allowed (that is
-/// what adding a profile looks like). Returns the failure list (empty =
-/// gate passes).
-pub fn compare(baseline: &str, fresh: &str) -> std::result::Result<Vec<String>, String> {
-    let base = extract_rows("baseline", baseline)?;
-    let new = extract_rows("fresh", fresh)?;
-    let mut failures = Vec::new();
-    for b in &base {
-        let key = (b.profile.as_str(), b.dataset.as_str(), b.detector.as_str());
-        match new
-            .iter()
-            .find(|f| (f.profile.as_str(), f.dataset.as_str(), f.detector.as_str()) == key)
-        {
-            None => failures.push(format!(
-                "row vanished from fresh run: profile={} dataset={} detector={}",
-                b.profile, b.dataset, b.detector
-            )),
-            Some(f) if f != b => failures.push(format!(
-                "row changed: profile={} dataset={} detector={}: \
-                 baseline {b:?} vs fresh {f:?}",
-                b.profile, b.dataset, b.detector
-            )),
-            Some(_) => {}
-        }
-    }
-    Ok(failures)
-}
-
-/// File-based gate for the CLI: reads both documents, prints nothing on
-/// success, returns the rendered failures as `Err` otherwise.
-pub fn run_files(baseline_path: &str, fresh_path: &str) -> std::result::Result<String, String> {
-    let baseline =
-        std::fs::read_to_string(baseline_path).map_err(|e| format!("read {baseline_path}: {e}"))?;
-    let fresh =
-        std::fs::read_to_string(fresh_path).map_err(|e| format!("read {fresh_path}: {e}"))?;
-    let failures = compare(&baseline, &fresh)?;
-    if failures.is_empty() {
-        Ok(format!(
-            "fault-matrix gate: {} baseline rows all present and identical\n",
-            extract_rows("baseline", &baseline)?.len()
-        ))
-    } else {
-        Err(format!(
-            "fault-matrix gate FAILED:\n  {}\n",
-            failures.join("\n  ")
-        ))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::gate::compare;
+    use crate::minijson::{parse, JsonValue};
     use crate::DEFAULT_SEED;
+
+    /// Reads one row of the rendered document back.
+    fn row_from_json(r: &JsonValue) -> FaultRow {
+        let text = |k: &str| r.get(k).and_then(JsonValue::as_str).unwrap().to_string();
+        let int = |k: &str| r.get(k).and_then(JsonValue::as_u64).unwrap();
+        FaultRow {
+            profile: text("profile"),
+            dataset: text("dataset"),
+            detector: text("detector"),
+            injected_points: int("injected_points") as usize,
+            quarantined: int("quarantined"),
+            ucr_hit: r.get("ucr_hit").and_then(JsonValue::as_bool).unwrap(),
+            detected: int("detected") as usize,
+            regions: int("regions") as usize,
+            false_alarms: int("false_alarms") as usize,
+            total_alarms: int("total_alarms") as usize,
+        }
+    }
 
     fn small_run() -> FaultsExperiment {
         // full matrix but cached once per test binary would be nicer;
@@ -391,20 +313,27 @@ mod tests {
     fn json_round_trips_and_gate_is_exact() {
         let exp = small_run();
         let json = render_json(&exp);
-        let parsed = extract_rows("doc", &json).unwrap();
+        let doc = parse(&json).unwrap();
+        let parsed: Vec<FaultRow> = doc
+            .get("rows")
+            .and_then(JsonValue::as_arr)
+            .unwrap()
+            .iter()
+            .map(row_from_json)
+            .collect();
         assert_eq!(parsed, exp.rows);
         // identical documents pass
-        assert!(compare(&json, &json).unwrap().is_empty());
+        assert!(compare(&json, &json).unwrap().failures.is_empty());
         // a vanished row fails
         let mut truncated = exp.clone();
         truncated.rows.pop();
-        let failures = compare(&json, &render_json(&truncated)).unwrap();
+        let failures = compare(&json, &render_json(&truncated)).unwrap().failures;
         assert_eq!(failures.len(), 1);
         assert!(failures[0].contains("vanished"));
         // a flipped outcome fails
         let mut flipped = exp.clone();
         flipped.rows[0].ucr_hit = !flipped.rows[0].ucr_hit;
-        let failures = compare(&json, &render_json(&flipped)).unwrap();
+        let failures = compare(&json, &render_json(&flipped)).unwrap().failures;
         assert!(failures.iter().any(|f| f.contains("row changed")));
     }
 }

@@ -22,7 +22,7 @@
 //!   checkpoint size.
 //!
 //! `fleet-json` renders the same run as `BENCH_fleet.json` (schema
-//! `tsad-bench-fleet/v2`), which CI gates via `repro -- fleet-compare`:
+//! `tsad-bench-fleet/v2`), which CI gates via `repro -- gate`:
 //! wall time relatively (like the kernel gate), allocations and the
 //! bitwise bit exactly. Schema v2 adds the SIMD dispatch the run resolved
 //! to — `"dispatch"` (the backend name) and `"lane_width"` (f64 lanes per

@@ -1,7 +1,7 @@
 //! `ingest-json` / `loadgen` — the wire-protocol front-end, measured.
 //!
 //! Three views of the same serving path, reported as `BENCH_ingest.json`
-//! (schema `tsad-bench-ingest/v1`) and gated by `repro -- ingest-compare`:
+//! (schema `tsad-bench-ingest/v1`) and gated by `repro -- gate`:
 //!
 //! * **Per-stage latency** — a warm in-memory [`Conn`] is fed pre-rendered
 //!   HTTP requests (no sockets, no scheduler) and the crate's own stage

@@ -6,7 +6,7 @@
 //! recovery contract in the same document: a log with a deliberately torn
 //! tail must recover to a **bitwise-identical** fleet state over the
 //! surviving prefix. CI regenerates this document and gates it against
-//! the committed `BENCH_wal.json` with `repro -- wal-compare`: the
+//! the committed `BENCH_wal.json` with `repro -- gate`: the
 //! wall-time ratio is gated for the fsync-free policy only (fsync latency
 //! is hardware, not code), while the allocation count and the recovery
 //! booleans are exact contracts on every run.

@@ -32,7 +32,6 @@ pub mod minijson;
 pub mod experiments {
     //! One module per paper artifact; see the crate-level table.
     pub mod audit_exp;
-    pub mod bench_compare;
     pub mod bench_json;
     pub mod catalog;
     pub mod contest;

@@ -1,6 +1,6 @@
 //! A minimal recursive-descent JSON parser.
 //!
-//! `bench-compare` has to read two `BENCH_kernels.json` documents, and the
+//! `repro -- gate` has to read two `BENCH_*.json` documents, and the
 //! build is offline (no serde). The documents are small (a few KB) and
 //! produced by this workspace, so a compact strict parser is enough: full
 //! JSON syntax, `f64` numbers, string escapes, no trailing commas.

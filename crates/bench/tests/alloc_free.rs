@@ -220,7 +220,7 @@ fn fleet_steady_state_ingest_is_allocation_free() {
     // counters, gauges, and spans are proven free along with the slab,
     // LRU, and per-batch buffers. `repro -- fleet-json` records the same
     // number in BENCH_fleet.json as `allocs_per_point`, gated by
-    // `fleet-compare` in CI.
+    // `repro -- gate` in CI.
     use tsad_fleet::{BatchOutput, Fleet, FleetConfig, SeriesId};
     use tsad_stream::{FnFactory, NanPolicy, Sanitized, StreamingCusum};
 

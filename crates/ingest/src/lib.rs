@@ -35,7 +35,7 @@
 //!   route → push → respond stages into `ingest.*` histograms, and the
 //!   budgets ([`BUDGET_PARSE_NS`], [`BUDGET_ROUTE_NS`],
 //!   [`BUDGET_OVERHEAD_NS`]) are enforced in CI by
-//!   `repro -- ingest-compare` against the committed `BENCH_ingest.json`.
+//!   `repro -- gate` against the committed `BENCH_ingest.json`.
 //!
 //! ## Stage semantics
 //!
