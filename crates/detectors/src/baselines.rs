@@ -17,9 +17,11 @@
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use tsad_core::ckpt::{CkptReader, CkptWriter};
 use tsad_core::error::{CoreError, Result};
 use tsad_core::{ops, TimeSeries};
 
+use crate::calibrated::{score_calibrated, standardizer, PrefixCalibrated};
 use crate::Detector;
 
 /// Flags the last point of the series (score 1 at the end, 0 elsewhere).
@@ -50,14 +52,35 @@ impl Detector for GlobalZScore {
         "global z-score"
     }
     fn score(&self, ts: &TimeSeries, train_len: usize) -> Result<Vec<f64>> {
-        let x = ts.values();
-        if x.is_empty() {
-            return Err(CoreError::EmptySeries);
-        }
-        let reference = if train_len >= 2 { &x[..train_len] } else { x };
-        let mu = tsad_core::stats::mean(reference)?;
-        let sd = tsad_core::stats::std_dev(reference)?.max(1e-12);
-        Ok(x.iter().map(|&v| (v - mu).abs() / sd).collect())
+        score_calibrated(self, ts, train_len)
+    }
+}
+
+/// The model is the frozen `(μ, σ)` of the calibration prefix; every
+/// point, prefix included, scores `|x − μ| / σ`.
+impl PrefixCalibrated for GlobalZScore {
+    type State = (f64, f64);
+    const DISPLAY: &'static str = crate::registry::display::GLOBAL_ZSCORE;
+    const MIN_CALIBRATION: usize = 2;
+    const STATE_WORDS: usize = 2;
+
+    fn calibrate(&self, prefix: &[f64], scores: &mut impl Extend<f64>) -> Result<(f64, f64)> {
+        let mut state = standardizer(prefix, 1e-12)?;
+        scores.extend(prefix.iter().map(|&v| self.step(&mut state, v)));
+        Ok(state)
+    }
+
+    fn step(&self, &mut (mu, sd): &mut (f64, f64), x: f64) -> f64 {
+        (x - mu).abs() / sd
+    }
+
+    fn save_state(&(mu, sd): &(f64, f64), w: &mut CkptWriter) {
+        w.f64(mu);
+        w.f64(sd);
+    }
+
+    fn load_state(&self, r: &mut CkptReader<'_>) -> Result<(f64, f64)> {
+        Ok((r.f64()?, r.f64()?))
     }
 }
 
@@ -183,7 +206,11 @@ impl Detector for QuantileBaseline {
                 expected: "a positive finite whisker multiplier",
             });
         }
-        let reference = if train_len >= 4 { &x[..train_len] } else { x };
+        let reference = if train_len >= 4 {
+            &x[..train_len.min(x.len())]
+        } else {
+            x
+        };
         let q1 = quantile(reference, 0.25);
         let q3 = quantile(reference, 0.75);
         let iqr = (q3 - q1).max(1e-12);

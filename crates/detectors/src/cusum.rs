@@ -9,9 +9,11 @@
 //! historical baseline for every changepoint-flavored anomaly in the
 //! benchmarks.
 
+use tsad_core::ckpt::{CkptReader, CkptWriter};
 use tsad_core::error::{CoreError, Result};
-use tsad_core::{stats, TimeSeries};
+use tsad_core::TimeSeries;
 
+use crate::calibrated::{score_calibrated, standardizer, PrefixCalibrated};
 use crate::Detector;
 
 /// Two-sided CUSUM detector.
@@ -36,10 +38,39 @@ impl Default for Cusum {
     }
 }
 
-impl Cusum {
-    /// Raw two-sided CUSUM statistics over `x`, standardized by the mean
-    /// and deviation of `reference` (the in-control sample).
-    pub fn statistics(&self, x: &[f64], reference: &[f64]) -> Result<Vec<f64>> {
+/// Calibrated CUSUM state: the in-control `μ`, `σ` of the calibration
+/// prefix and the two one-sided statistics.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct CusumState {
+    /// In-control mean.
+    pub mu: f64,
+    /// In-control deviation (floored at 1e-9).
+    pub sd: f64,
+    /// Upper one-sided statistic.
+    pub hi: f64,
+    /// Lower one-sided statistic.
+    pub lo: f64,
+}
+
+impl Detector for Cusum {
+    fn name(&self) -> &'static str {
+        "CUSUM (Page 1957)"
+    }
+    fn score(&self, ts: &TimeSeries, train_len: usize) -> Result<Vec<f64>> {
+        score_calibrated(self, ts, train_len)
+    }
+}
+
+/// The model standardizes by the prefix's `μ`, `σ`; the recursion
+/// `hi ← max(0, d·hi + z − k)`, `lo ← max(0, d·lo − z − k)` starts at zero
+/// and runs over the prefix too, so the prefix is scored by stepping.
+impl PrefixCalibrated for Cusum {
+    type State = CusumState;
+    const DISPLAY: &'static str = crate::registry::display::CUSUM;
+    const MIN_CALIBRATION: usize = 2;
+    const STATE_WORDS: usize = 4;
+
+    fn validate(&self) -> Result<()> {
         if !(0.0..10.0).contains(&self.allowance) {
             return Err(CoreError::BadParameter {
                 name: "allowance",
@@ -54,32 +85,41 @@ impl Cusum {
                 expected: "0 < decay <= 1",
             });
         }
-        let mu = stats::mean(reference)?;
-        let sd = stats::std_dev(reference)?.max(1e-9);
-        let mut hi = 0.0f64;
-        let mut lo = 0.0f64;
-        let mut out = Vec::with_capacity(x.len());
-        for &v in x {
-            let z = (v - mu) / sd;
-            hi = (self.decay * hi + z - self.allowance).max(0.0);
-            lo = (self.decay * lo - z - self.allowance).max(0.0);
-            out.push(hi.max(lo));
-        }
-        Ok(out)
+        Ok(())
     }
-}
 
-impl Detector for Cusum {
-    fn name(&self) -> &'static str {
-        "CUSUM (Page 1957)"
+    fn calibrate(&self, prefix: &[f64], scores: &mut impl Extend<f64>) -> Result<CusumState> {
+        let (mu, sd) = standardizer(prefix, 1e-9)?;
+        let mut state = CusumState {
+            mu,
+            sd,
+            hi: 0.0,
+            lo: 0.0,
+        };
+        scores.extend(prefix.iter().map(|&v| self.step(&mut state, v)));
+        Ok(state)
     }
-    fn score(&self, ts: &TimeSeries, train_len: usize) -> Result<Vec<f64>> {
-        let x = ts.values();
-        if x.is_empty() {
-            return Err(CoreError::EmptySeries);
+
+    fn step(&self, s: &mut CusumState, x: f64) -> f64 {
+        let z = (x - s.mu) / s.sd;
+        s.hi = (self.decay * s.hi + z - self.allowance).max(0.0);
+        s.lo = (self.decay * s.lo - z - self.allowance).max(0.0);
+        s.hi.max(s.lo)
+    }
+
+    fn save_state(s: &CusumState, w: &mut CkptWriter) {
+        for v in [s.mu, s.sd, s.hi, s.lo] {
+            w.f64(v);
         }
-        let reference = if train_len >= 2 { &x[..train_len] } else { x };
-        self.statistics(x, reference)
+    }
+
+    fn load_state(&self, r: &mut CkptReader<'_>) -> Result<CusumState> {
+        Ok(CusumState {
+            mu: r.f64()?,
+            sd: r.f64()?,
+            hi: r.f64()?,
+            lo: r.f64()?,
+        })
     }
 }
 

@@ -33,6 +33,8 @@
 //! * [`spot`] — streaming peaks-over-threshold with an EVT/GPD tail fit
 //!   (Siffer et al., KDD 2017).
 //! * [`esd`] — Twitter's seasonal-hybrid ESD on robust residuals.
+//! * [`calibrated`] — the calibrate-then-step model ([`PrefixCalibrated`])
+//!   that z-score, CUSUM and SPOT implement once for batch and streaming.
 //! * [`iforest`] — isolation forest over sliding-window shape features.
 //!
 //! All detectors implement [`Detector`], which maps a series (with an
@@ -42,6 +44,7 @@
 //! catalog benchmark resolve from.
 
 pub mod baselines;
+pub mod calibrated;
 pub mod cusum;
 pub mod discord;
 pub mod ensemble;
@@ -59,6 +62,7 @@ pub mod spot;
 pub mod telemanom;
 pub mod threshold;
 
+pub use calibrated::{score_calibrated, PrefixCalibrated};
 pub use registry::{DetectorRegistry, Params};
 
 use tsad_core::{Result, TimeSeries};

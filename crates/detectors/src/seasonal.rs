@@ -151,7 +151,7 @@ impl Detector for SeasonalDetector {
     fn score(&self, ts: &TimeSeries, train_len: usize) -> Result<Vec<f64>> {
         let x = ts.values();
         let fit_on = if train_len >= self.search_range.1 * 4 {
-            &x[..train_len]
+            &x[..train_len.min(x.len())]
         } else {
             x
         };

@@ -15,15 +15,18 @@
 //! quantile means score ≥ 1 and the score keeps growing with the
 //! exceedance.
 //!
-//! The whole algorithm is causal, so the batch [`Spot`] detector and the
-//! native streaming port (`tsad-stream`'s `StreamingSpot`) drive the
-//! *same* [`SpotState`] machine and agree bitwise; calibration-prefix
-//! points are scored retroactively with the freshly-calibrated (not yet
-//! updated) state.
+//! The whole algorithm is causal: [`Spot`] is a
+//! [`PrefixCalibrated`] model whose state is the [`SpotState`] machine, so
+//! the batch detector and the streaming port (`tsad-stream`'s
+//! `StreamingSpot`) run the same calibrate-then-step code and agree
+//! bitwise. Calibration-prefix points are scored retroactively with the
+//! freshly-calibrated (not yet updated) state.
 
+use tsad_core::ckpt::{CkptReader, CkptWriter};
 use tsad_core::error::{CoreError, Result};
 use tsad_core::TimeSeries;
 
+use crate::calibrated::{score_calibrated, PrefixCalibrated};
 use crate::Detector;
 
 /// Minimum calibration length: below this the empirical quantile and the
@@ -106,6 +109,12 @@ impl TailState {
     /// Registers `v` if it is an excess (finite excesses only — one ∞
     /// would destroy the moments forever) and refits the quantile.
     fn update(&mut self, v: f64, risk: f64, seen: u64) {
+        self.absorb(v);
+        self.refit(risk, seen);
+    }
+
+    /// Adds `v` to the excess moments when it is a finite excess.
+    fn absorb(&mut self, v: f64) {
         if v > self.t {
             let excess = v - self.t;
             if excess.is_finite() {
@@ -114,7 +123,24 @@ impl TailState {
                 self.sum_sq += excess * excess;
             }
         }
-        self.refit(risk, seen);
+    }
+
+    fn save(&self, w: &mut CkptWriter) {
+        w.f64(self.t);
+        w.u64(self.n_excess);
+        w.f64(self.sum);
+        w.f64(self.sum_sq);
+        w.f64(self.zq);
+    }
+
+    fn load(r: &mut CkptReader<'_>) -> Result<Self> {
+        Ok(Self {
+            t: r.f64()?,
+            n_excess: r.u64()?,
+            sum: r.f64()?,
+            sum_sq: r.f64()?,
+            zq: r.f64()?,
+        })
     }
 }
 
@@ -142,61 +168,6 @@ fn sorted_quantile(sorted: &[f64], level: f64) -> f64 {
 }
 
 impl SpotState {
-    /// Calibrates both tails on `calib`: initial thresholds at the
-    /// `level` / `1 − level` empirical quantiles, excess moments from the
-    /// calibration exceedances, first `z_q` fit from those.
-    pub fn calibrate(calib: &[f64], level: f64, risk: f64) -> Result<Self> {
-        if calib.len() < MIN_CALIBRATION {
-            return Err(CoreError::BadWindow {
-                window: MIN_CALIBRATION,
-                len: calib.len(),
-            });
-        }
-        if !(0.5 < level && level < 1.0) {
-            return Err(CoreError::BadParameter {
-                name: "level",
-                value: level,
-                expected: "0.5 < level < 1 (initial-threshold quantile)",
-            });
-        }
-        if !(0.0 < risk && risk < 0.5) {
-            return Err(CoreError::BadParameter {
-                name: "risk",
-                value: risk,
-                expected: "0 < risk < 0.5 (target tail probability)",
-            });
-        }
-        let mut sorted = calib.to_vec();
-        sorted.sort_by(f64::total_cmp);
-        let mut state = Self {
-            risk,
-            seen: calib.len() as u64,
-            up: TailState::new(sorted_quantile(&sorted, level)),
-            down: TailState::new(-sorted_quantile(&sorted, 1.0 - level)),
-        };
-        for &x in calib {
-            if x > state.up.t {
-                let e = x - state.up.t;
-                if e.is_finite() {
-                    state.up.n_excess += 1;
-                    state.up.sum += e;
-                    state.up.sum_sq += e * e;
-                }
-            }
-            if -x > state.down.t {
-                let e = -x - state.down.t;
-                if e.is_finite() {
-                    state.down.n_excess += 1;
-                    state.down.sum += e;
-                    state.down.sum_sq += e * e;
-                }
-            }
-        }
-        state.up.refit(risk, state.seen);
-        state.down.refit(risk, state.seen);
-        Ok(state)
-    }
-
     /// Scores `x` against the current alarm quantiles (no mutation).
     pub fn score(&self, x: f64) -> f64 {
         self.up.score(x).max(self.down.score(-x))
@@ -231,10 +202,45 @@ impl Default for Spot {
     }
 }
 
-impl Spot {
-    /// Effective calibration length for a series of length `n`: the train
-    /// prefix when it is usable, otherwise a fixed unsupervised prefix.
-    pub fn calibration_len(train_len: usize, n: usize) -> usize {
+impl Detector for Spot {
+    fn name(&self) -> &'static str {
+        crate::registry::display::SPOT
+    }
+    fn score(&self, ts: &TimeSeries, train_len: usize) -> Result<Vec<f64>> {
+        score_calibrated(self, ts, train_len)
+    }
+}
+
+/// Calibration fits both tails on the prefix and scores the prefix with
+/// that frozen fit; each later point is scored, then absorbed.
+impl PrefixCalibrated for Spot {
+    type State = SpotState;
+    const DISPLAY: &'static str = crate::registry::display::SPOT;
+    const MIN_CALIBRATION: usize = MIN_CALIBRATION;
+    // two 5-field tails plus risk, seen and bookkeeping
+    const STATE_WORDS: usize = 16;
+
+    fn validate(&self) -> Result<()> {
+        if !(0.5 < self.level && self.level < 1.0) {
+            return Err(CoreError::BadParameter {
+                name: "level",
+                value: self.level,
+                expected: "0.5 < level < 1 (initial-threshold quantile)",
+            });
+        }
+        if !(0.0 < self.risk && self.risk < 0.5) {
+            return Err(CoreError::BadParameter {
+                name: "risk",
+                value: self.risk,
+                expected: "0 < risk < 0.5 (target tail probability)",
+            });
+        }
+        Ok(())
+    }
+
+    /// The train prefix when it is usable, otherwise a fixed unsupervised
+    /// prefix of up to 200 points.
+    fn calibration_len(train_len: usize, n: usize) -> usize {
         if train_len >= MIN_CALIBRATION {
             train_len.min(n)
         } else {
@@ -242,31 +248,57 @@ impl Spot {
         }
     }
 
-    /// Runs the causal SPOT pass over `x`: calibrate on the first
-    /// `calib_len` points, score them retroactively with the frozen
-    /// initial state, then score-and-update every later point in order.
-    pub fn run(&self, x: &[f64], calib_len: usize) -> Result<Vec<f64>> {
-        let calib_len = calib_len.min(x.len());
-        let mut state = SpotState::calibrate(&x[..calib_len], self.level, self.risk)?;
-        let mut out = Vec::with_capacity(x.len());
-        for &v in &x[..calib_len] {
-            out.push(state.score(v));
+    /// Initial thresholds at the `level` / `1 − level` empirical
+    /// quantiles, excess moments from the calibration exceedances, first
+    /// `z_q` fit from those.
+    fn calibrate(&self, prefix: &[f64], scores: &mut impl Extend<f64>) -> Result<SpotState> {
+        if prefix.len() < MIN_CALIBRATION {
+            return Err(CoreError::BadWindow {
+                window: MIN_CALIBRATION,
+                len: prefix.len(),
+            });
         }
-        for &v in &x[calib_len..] {
-            out.push(state.score(v));
-            state.update(v);
+        let mut sorted = prefix.to_vec();
+        sorted.sort_by(f64::total_cmp);
+        let mut state = SpotState {
+            risk: self.risk,
+            seen: prefix.len() as u64,
+            up: TailState::new(sorted_quantile(&sorted, self.level)),
+            down: TailState::new(-sorted_quantile(&sorted, 1.0 - self.level)),
+        };
+        for &x in prefix {
+            state.up.absorb(x);
+            state.down.absorb(-x);
         }
-        Ok(out)
+        state.up.refit(self.risk, state.seen);
+        state.down.refit(self.risk, state.seen);
+        scores.extend(prefix.iter().map(|&v| state.score(v)));
+        Ok(state)
     }
-}
 
-impl Detector for Spot {
-    fn name(&self) -> &'static str {
-        crate::registry::display::SPOT
+    fn step(&self, state: &mut SpotState, x: f64) -> f64 {
+        let s = state.score(x);
+        state.update(x);
+        s
     }
-    fn score(&self, ts: &TimeSeries, train_len: usize) -> Result<Vec<f64>> {
-        let x = ts.values();
-        self.run(x, Self::calibration_len(train_len, x.len()))
+
+    fn save_state(s: &SpotState, w: &mut CkptWriter) {
+        w.u64(s.seen);
+        s.up.save(w);
+        s.down.save(w);
+    }
+
+    fn load_state(&self, r: &mut CkptReader<'_>) -> Result<SpotState> {
+        Ok(SpotState {
+            risk: self.risk,
+            seen: r.u64()?,
+            up: TailState::load(r)?,
+            down: TailState::load(r)?,
+        })
+    }
+
+    fn fingerprint(&self) -> String {
+        format!(", level={}, risk={}", self.level, self.risk)
     }
 }
 
@@ -309,9 +341,14 @@ mod tests {
 
     #[test]
     fn calibration_is_validated() {
-        assert!(SpotState::calibrate(&[1.0; 4], 0.98, 1e-3).is_err());
-        assert!(SpotState::calibrate(&[1.0; 64], 0.3, 1e-3).is_err());
-        assert!(SpotState::calibrate(&[1.0; 64], 0.98, 0.9).is_err());
+        assert!(Spot::default()
+            .calibrate(&[1.0; 4], &mut Vec::new())
+            .is_err());
+        let spot = |level, risk| Spot { level, risk };
+        assert!(spot(0.3, 1e-3).validate().is_err());
+        assert!(spot(0.98, 0.9).validate().is_err());
+        let x = TimeSeries::new("x", vec![1.0; 64]).unwrap();
+        assert!(spot(0.3, 1e-3).score(&x, 32).is_err());
         // unsupervised fallback prefix
         assert_eq!(Spot::calibration_len(0, 1000), 200);
         assert_eq!(Spot::calibration_len(300, 1000), 300);

@@ -41,7 +41,7 @@ proptest! {
             let det = entry
                 .build(&Params::new())
                 .unwrap_or_else(|e| panic!("{}: default build failed: {e}", entry.id));
-            for train_len in [0, xs.len() / 4, xs.len()] {
+            for train_len in [0, xs.len() / 4, xs.len(), xs.len() + 1] {
                 // a typed error is fine; a panic is a catalog bug
                 let _ = det.score(&ts, train_len);
             }

@@ -1,299 +1,12 @@
-//! Native streaming ports of the batch threshold detectors.
-//!
-//! All three detectors here are **bitwise-equivalent** to their batch
-//! counterparts: they buffer exactly the data the batch version derives its
-//! statistics from (a finite calibration prefix, or a centered window),
-//! compute those statistics with the *same* `tsad-core` calls in the same
-//! order, and evaluate the same per-sample expression. See
-//! [`equivalence`](crate::equivalence) for the machine-checked claim.
-//!
-//! The batch [`GlobalZScore`](tsad_detectors::baselines::GlobalZScore) and
-//! [`Cusum`] fall back to whole-series statistics
-//! when `train_len < 2`; a bounded-memory stream cannot do that (the
-//! "whole series" never ends), so the streaming constructors require
-//! `train_len ≥ 2` and score the calibration prefix retroactively once it
-//! completes — exactly the values the batch detector assigns those indices.
-
-use std::collections::VecDeque;
+//! Native streaming port of the moving-average residual. The
+//! prefix-calibrated ports (z-score, CUSUM, SPOT) share one implementation
+//! in [`calibrated`](crate::calibrated).
 
 use tsad_core::ckpt::{corrupt, CkptReader, CkptState, CkptWriter};
-use tsad_core::error::{CoreError, Result};
+use tsad_core::error::Result;
 use tsad_core::ops::incremental::{MovMean, MovStd, RingBuffer};
-use tsad_core::stats;
-use tsad_detectors::cusum::Cusum;
 
 use crate::StreamingDetector;
-
-fn require_train_len(train_len: usize) -> Result<()> {
-    if train_len < 2 {
-        return Err(CoreError::BadParameter {
-            name: "train_len",
-            value: train_len as f64,
-            expected: "train_len >= 2 (a stream has no whole-series fallback)",
-        });
-    }
-    Ok(())
-}
-
-/// Streaming [`GlobalZScore`](tsad_detectors::baselines::GlobalZScore): buffers the
-/// `train_len` calibration samples, then scores every sample (prefix
-/// included) as `|x − μ| / σ` with μ, σ frozen from the prefix.
-///
-/// Bitwise-equivalent to the batch detector for the same `train_len ≥ 2`.
-#[derive(Debug, Clone)]
-pub struct StreamingGlobalZScore {
-    train_len: usize,
-    prefix: Vec<f64>,
-    calibrated: Option<(f64, f64)>,
-    ready: VecDeque<f64>,
-}
-
-impl StreamingGlobalZScore {
-    /// Creates the detector; statistics freeze after `train_len ≥ 2` pushes.
-    pub fn new(train_len: usize) -> Result<Self> {
-        require_train_len(train_len)?;
-        Ok(Self {
-            train_len,
-            prefix: Vec::with_capacity(train_len),
-            calibrated: None,
-            ready: VecDeque::new(),
-        })
-    }
-
-    fn score_one(&self, v: f64) -> f64 {
-        // invariant: only called after `calibrated` is set in `push`
-        let (mu, sd) = self.calibrated.expect("calibrated");
-        (v - mu).abs() / sd
-    }
-}
-
-impl StreamingDetector for StreamingGlobalZScore {
-    fn name(&self) -> String {
-        // the registry display const is the fingerprint prefix: renames
-        // propagate to TSCK fingerprints from one place
-        format!(
-            "{} (stream, train={})",
-            tsad_detectors::registry::display::GLOBAL_ZSCORE,
-            self.train_len
-        )
-    }
-
-    fn push(&mut self, x: f64) -> Option<f64> {
-        if self.calibrated.is_none() {
-            self.prefix.push(x);
-            if self.prefix.len() < self.train_len {
-                return None;
-            }
-            // Same calls, same slice, same order as the batch detector.
-            let mu = stats::mean(&self.prefix).expect("train_len >= 2");
-            let sd = stats::std_dev(&self.prefix)
-                .expect("train_len >= 2")
-                .max(1e-12);
-            self.calibrated = Some((mu, sd));
-            for i in 0..self.prefix.len() {
-                self.ready.push_back(self.score_one(self.prefix[i]));
-            }
-            self.prefix = Vec::new();
-        } else {
-            let s = self.score_one(x);
-            self.ready.push_back(s);
-        }
-        self.ready.pop_front()
-    }
-
-    fn finish(&mut self) -> Vec<f64> {
-        // a stream shorter than train_len never calibrates; score what we
-        // have the way the batch detector would be *unable* to — emit
-        // nothing rather than invent statistics
-        self.ready.drain(..).collect()
-    }
-
-    fn reset(&mut self) {
-        self.prefix.clear();
-        self.calibrated = None;
-        self.ready.clear();
-    }
-
-    fn lag(&self) -> usize {
-        self.train_len - 1
-    }
-
-    fn memory_bound(&self) -> usize {
-        2 * self.train_len + 2
-    }
-
-    fn save_state(&self, w: &mut CkptWriter) {
-        w.f64_seq(self.prefix.len(), self.prefix.iter().copied());
-        match self.calibrated {
-            Some((mu, sd)) => {
-                w.bool(true);
-                w.f64(mu);
-                w.f64(sd);
-            }
-            None => w.bool(false),
-        }
-        w.f64_seq(self.ready.len(), self.ready.iter().copied());
-    }
-
-    fn load_state(&mut self, r: &mut CkptReader<'_>) -> Result<()> {
-        self.prefix = r.f64_vec()?;
-        if self.prefix.len() > self.train_len {
-            return Err(corrupt(format!(
-                "z-score prefix holds {} samples but train_len is {}",
-                self.prefix.len(),
-                self.train_len
-            )));
-        }
-        self.calibrated = if r.bool()? {
-            Some((r.f64()?, r.f64()?))
-        } else {
-            None
-        };
-        self.ready = r.f64_vec()?.into();
-        Ok(())
-    }
-}
-
-/// Streaming two-sided CUSUM: calibrates μ, σ on the first `train_len`
-/// samples, replays the recursion over the buffered prefix, then updates
-/// the two one-sided statistics in O(1) per push.
-///
-/// Bitwise-equivalent to the batch [`Cusum`] for the same `train_len ≥ 2`:
-/// the recursion `hi ← max(0, d·hi + z − k)`, `lo ← max(0, d·lo − z − k)`
-/// is replayed in identical order with identical constants.
-#[derive(Debug, Clone)]
-pub struct StreamingCusum {
-    params: Cusum,
-    train_len: usize,
-    prefix: Vec<f64>,
-    // (mu, sd, hi, lo) once calibrated
-    state: Option<(f64, f64, f64, f64)>,
-    ready: VecDeque<f64>,
-}
-
-impl StreamingCusum {
-    /// Creates the detector from batch parameters; validation matches
-    /// [`Cusum::statistics`].
-    pub fn new(params: Cusum, train_len: usize) -> Result<Self> {
-        require_train_len(train_len)?;
-        // same checks as Cusum::statistics, performed eagerly
-        if !(0.0..10.0).contains(&params.allowance) {
-            return Err(CoreError::BadParameter {
-                name: "allowance",
-                value: params.allowance,
-                expected: "0 <= allowance < 10",
-            });
-        }
-        if !(0.0 < params.decay && params.decay <= 1.0) {
-            return Err(CoreError::BadParameter {
-                name: "decay",
-                value: params.decay,
-                expected: "0 < decay <= 1",
-            });
-        }
-        Ok(Self {
-            params,
-            train_len,
-            prefix: Vec::with_capacity(train_len),
-            state: None,
-            ready: VecDeque::new(),
-        })
-    }
-
-    fn step(&mut self, v: f64) -> f64 {
-        // invariant: only called after `state` is set in `push`
-        let (mu, sd, hi, lo) = self.state.expect("calibrated");
-        let z = (v - mu) / sd;
-        let hi = (self.params.decay * hi + z - self.params.allowance).max(0.0);
-        let lo = (self.params.decay * lo - z - self.params.allowance).max(0.0);
-        self.state = Some((mu, sd, hi, lo));
-        hi.max(lo)
-    }
-}
-
-impl StreamingDetector for StreamingCusum {
-    fn name(&self) -> String {
-        format!(
-            "{} (stream, train={})",
-            tsad_detectors::registry::display::CUSUM,
-            self.train_len
-        )
-    }
-
-    fn push(&mut self, x: f64) -> Option<f64> {
-        if self.state.is_none() {
-            self.prefix.push(x);
-            if self.prefix.len() < self.train_len {
-                return None;
-            }
-            let mu = stats::mean(&self.prefix).expect("train_len >= 2");
-            let sd = stats::std_dev(&self.prefix)
-                .expect("train_len >= 2")
-                .max(1e-9);
-            self.state = Some((mu, sd, 0.0, 0.0));
-            let prefix = std::mem::take(&mut self.prefix);
-            for &v in &prefix {
-                let s = self.step(v);
-                self.ready.push_back(s);
-            }
-        } else {
-            let s = self.step(x);
-            self.ready.push_back(s);
-        }
-        self.ready.pop_front()
-    }
-
-    fn finish(&mut self) -> Vec<f64> {
-        self.ready.drain(..).collect()
-    }
-
-    fn reset(&mut self) {
-        self.prefix.clear();
-        self.state = None;
-        self.ready.clear();
-    }
-
-    fn lag(&self) -> usize {
-        self.train_len - 1
-    }
-
-    fn memory_bound(&self) -> usize {
-        2 * self.train_len + 4
-    }
-
-    fn save_state(&self, w: &mut CkptWriter) {
-        w.f64_seq(self.prefix.len(), self.prefix.iter().copied());
-        match self.state {
-            Some((mu, sd, hi, lo)) => {
-                w.bool(true);
-                w.f64(mu);
-                w.f64(sd);
-                w.f64(hi);
-                w.f64(lo);
-            }
-            None => w.bool(false),
-        }
-        w.f64_seq(self.ready.len(), self.ready.iter().copied());
-    }
-
-    fn load_state(&mut self, r: &mut CkptReader<'_>) -> Result<()> {
-        self.prefix = r.f64_vec()?;
-        if self.prefix.len() > self.train_len {
-            return Err(corrupt(format!(
-                "CUSUM prefix holds {} samples but train_len is {}",
-                self.prefix.len(),
-                self.train_len
-            )));
-        }
-        self.state = if r.bool()? {
-            Some((r.f64()?, r.f64()?, r.f64()?, r.f64()?))
-        } else {
-            None
-        };
-        self.ready = r.f64_vec()?.into();
-        Ok(())
-    }
-}
 
 /// Streaming [`MovingAvgResidual`](tsad_detectors::baselines::MovingAvgResidual):
 /// `|x − movmean(x, k)| / (movstd(x, k) + ε)` with the centered,
@@ -405,7 +118,7 @@ impl StreamingDetector for StreamingMovingAvgResidual {
 mod tests {
     use super::*;
     use tsad_core::TimeSeries;
-    use tsad_detectors::baselines::{GlobalZScore, MovingAvgResidual};
+    use tsad_detectors::baselines::MovingAvgResidual;
     use tsad_detectors::Detector;
 
     /// Deterministic wiggly series with a level shift and a spike.
@@ -430,76 +143,6 @@ mod tests {
     }
 
     #[test]
-    fn zscore_stream_is_bitwise_batch() {
-        let xs = series(400);
-        let ts = TimeSeries::from_values(xs.clone()).unwrap();
-        let batch = GlobalZScore.score(&ts, 60).unwrap();
-        let mut det = StreamingGlobalZScore::new(60).unwrap();
-        let got = det.score_stream(&xs);
-        assert_bitwise(&batch, &got, "zscore");
-        // reset reproduces the identical stream
-        det.reset();
-        assert_bitwise(&batch, &det.score_stream(&xs), "zscore after reset");
-    }
-
-    #[test]
-    fn zscore_emission_schedule() {
-        let mut det = StreamingGlobalZScore::new(5).unwrap();
-        assert_eq!(det.lag(), 4);
-        for i in 0..4 {
-            assert_eq!(det.push(i as f64), None, "warm-up push {i}");
-        }
-        assert!(det.push(4.0).is_some(), "calibration push emits score 0");
-        assert!(det.push(5.0).is_some());
-        assert_eq!(det.finish().len(), 4);
-        assert!(StreamingGlobalZScore::new(1).is_err());
-    }
-
-    #[test]
-    fn short_stream_never_calibrates_and_emits_nothing() {
-        let mut det = StreamingGlobalZScore::new(100).unwrap();
-        assert_eq!(det.score_stream(&[1.0, 2.0, 3.0]), Vec::<f64>::new());
-    }
-
-    #[test]
-    fn cusum_stream_is_bitwise_batch() {
-        let xs = series(600);
-        let ts = TimeSeries::from_values(xs.clone()).unwrap();
-        for params in [
-            Cusum::default(),
-            Cusum {
-                allowance: 0.25,
-                decay: 1.0,
-            },
-        ] {
-            let batch = params.score(&ts, 150).unwrap();
-            let mut det = StreamingCusum::new(params, 150).unwrap();
-            assert_bitwise(&batch, &det.score_stream(&xs), "cusum");
-        }
-    }
-
-    #[test]
-    fn cusum_validates_eagerly() {
-        assert!(StreamingCusum::new(
-            Cusum {
-                allowance: -1.0,
-                decay: 1.0
-            },
-            10
-        )
-        .is_err());
-        assert!(StreamingCusum::new(
-            Cusum {
-                allowance: 0.5,
-                decay: 0.0
-            },
-            10
-        )
-        .is_err());
-        assert!(StreamingCusum::new(Cusum::default(), 1).is_err());
-    }
-
-    #[test]
     fn moving_avg_residual_stream_is_bitwise_batch() {
         let xs = series(257);
         let ts = TimeSeries::from_values(xs.clone()).unwrap();
@@ -518,21 +161,12 @@ mod tests {
     }
 
     #[test]
-    fn memory_bounds_are_constant_in_stream_length() {
-        let mut z = StreamingGlobalZScore::new(50).unwrap();
-        let mut c = StreamingCusum::new(Cusum::default(), 50).unwrap();
+    fn memory_bound_is_constant_in_stream_length() {
         let mut m = StreamingMovingAvgResidual::new(31).unwrap();
-        let (bz, bc, bm) = (z.memory_bound(), c.memory_bound(), m.memory_bound());
+        let bm = m.memory_bound();
         for i in 0..10_000 {
-            let v = (i as f64 * 0.1).sin();
-            z.push(v);
-            c.push(v);
-            m.push(v);
+            m.push((i as f64 * 0.1).sin());
         }
-        assert_eq!(z.memory_bound(), bz);
-        assert_eq!(c.memory_bound(), bc);
         assert_eq!(m.memory_bound(), bm);
-        // the z-score backlog really is bounded by train_len
-        assert!(z.ready.len() <= 50);
     }
 }

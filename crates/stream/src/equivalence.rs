@@ -9,8 +9,9 @@
 //! Two modes:
 //!
 //! * [`EquivalenceMode::Bitwise`] — `f64::to_bits` equality. Holds for the
-//!   z-score, CUSUM, moving-average-residual, and compiled one-liner ports,
-//!   which reuse the batch arithmetic verbatim.
+//!   z-score, CUSUM, SPOT, moving-average-residual, and compiled one-liner
+//!   ports, which reuse the batch arithmetic verbatim (the first three run
+//!   the very same calibrate-then-step model as their batch detectors).
 //! * [`EquivalenceMode::Tolerance`] — `|a − b| ≤ tol` per position. Used
 //!   for the left-discord port, whose diagonal dot-product seeds and window
 //!   moments are computed by different (equally valid) summations than the

@@ -68,7 +68,7 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::detectors::StreamingGlobalZScore;
+    use crate::calibrated::StreamingGlobalZScore;
 
     #[test]
     fn closure_factory_spawns_fresh_detectors() {

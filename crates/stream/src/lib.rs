@@ -10,10 +10,13 @@
 //!    retained state ([`StreamingDetector::memory_bound`]); nothing grows
 //!    with stream length.
 //! 2. **Batch equivalence** — the native streaming ports reproduce their
-//!    batch counterparts *bitwise* (z-score, CUSUM, moving-average
+//!    batch counterparts *bitwise* (z-score, CUSUM, SPOT, moving-average
 //!    residual, the whole one-liner family; see [`equivalence`]) or within
 //!    a documented floating-point tolerance (the left matrix profile, whose
-//!    rolling dot products accumulate rounding differently).
+//!    rolling dot products accumulate rounding differently). z-score, CUSUM
+//!    and SPOT are one [`CalibratedStream`] over the same calibrate-then-step
+//!    model their batch `score` runs, so for them equality holds by
+//!    construction.
 //!
 //! ## Emission model
 //!
@@ -37,6 +40,7 @@
 //! scored by `tsad-eval::streaming`).
 
 pub mod adapter;
+pub mod calibrated;
 pub mod checkpoint;
 pub mod detectors;
 pub mod discord;
@@ -46,11 +50,11 @@ pub mod oneliner;
 pub mod registry;
 pub mod replay;
 pub mod sanitize;
-pub mod spot;
 
 pub use adapter::BatchAdapter;
+pub use calibrated::{CalibratedStream, StreamingCusum, StreamingGlobalZScore, StreamingSpot};
 pub use checkpoint::{checkpoint, restore, CKPT_MAGIC, CKPT_VERSION};
-pub use detectors::{StreamingCusum, StreamingGlobalZScore, StreamingMovingAvgResidual};
+pub use detectors::StreamingMovingAvgResidual;
 pub use discord::StreamingLeftDiscord;
 pub use equivalence::{check_equivalence, EquivalenceMode, EquivalenceReport};
 pub use factory::{DetectorFactory, FnFactory};
@@ -58,7 +62,6 @@ pub use oneliner::StreamingOneLiner;
 pub use registry::{RegistryFactory, StreamHints, StreamRegistry};
 pub use replay::{replay, replay_many, ReplayConfig, ReplayJob, ReplayOutcome};
 pub use sanitize::{NanPolicy, Sanitized};
-pub use spot::StreamingSpot;
 
 use tsad_core::ckpt::{CkptReader, CkptWriter};
 use tsad_core::error::Result;

@@ -18,10 +18,10 @@ use tsad_detectors::registry::{DetectorRegistry, Params, StreamingSupport};
 use tsad_detectors::spot::Spot;
 
 use crate::adapter::BatchAdapter;
-use crate::detectors::{StreamingCusum, StreamingGlobalZScore, StreamingMovingAvgResidual};
+use crate::calibrated::{StreamingCusum, StreamingGlobalZScore, StreamingSpot};
+use crate::detectors::StreamingMovingAvgResidual;
 use crate::discord::StreamingLeftDiscord;
 use crate::oneliner::StreamingOneLiner;
-use crate::spot::StreamingSpot;
 use crate::StreamingDetector;
 
 // Re-exported here so one `use tsad_stream::registry::*`-style import gives

@@ -429,7 +429,7 @@ impl<D: StreamingDetector> StreamingDetector for Sanitized<D> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::detectors::StreamingGlobalZScore;
+    use crate::calibrated::StreamingGlobalZScore;
     use crate::oneliner::StreamingOneLiner;
     use tsad_detectors::oneliner::{Expr, OneLiner};
 

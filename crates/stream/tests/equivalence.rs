@@ -1,8 +1,8 @@
 //! Acceptance check: batch ↔ stream equivalence across three synthetic
 //! benchmark families (Yahoo A1, NASA frozen-signal, NYC taxi).
 //!
-//! Bitwise for the z-score / CUSUM / moving-average-residual / one-liner
-//! ports; tolerance (1e-6) for the streaming left discord, whose dot
+//! Bitwise for the z-score / CUSUM / SPOT / moving-average-residual /
+//! one-liner ports; tolerance (1e-6) for the streaming left discord, whose dot
 //! products are summed in a different (equally valid) order than the batch
 //! FFT path.
 
@@ -11,10 +11,11 @@ use tsad_detectors::baselines::{GlobalZScore, MovingAvgResidual};
 use tsad_detectors::cusum::Cusum;
 use tsad_detectors::matrix_profile::OnlineDiscordDetector;
 use tsad_detectors::oneliner::{equation, Equation};
+use tsad_detectors::spot::Spot;
 use tsad_detectors::Detector;
 use tsad_stream::{
     check_equivalence, EquivalenceMode, StreamingCusum, StreamingGlobalZScore,
-    StreamingLeftDiscord, StreamingMovingAvgResidual, StreamingOneLiner,
+    StreamingLeftDiscord, StreamingMovingAvgResidual, StreamingOneLiner, StreamingSpot,
 };
 
 /// One series per synthetic family, deterministic seeds.
@@ -52,6 +53,20 @@ fn cusum_bitwise_on_all_families() {
         let mut det = StreamingCusum::new(params, train).unwrap();
         let r = check_equivalence(name, &batch, &mut det, &xs, EquivalenceMode::Bitwise).unwrap();
         assert!(r.passed, "{r}");
+    }
+}
+
+#[test]
+fn spot_bitwise_on_all_families() {
+    for (name, xs) in families() {
+        let train = (xs.len() / 4).max(tsad_detectors::spot::MIN_CALIBRATION);
+        let params = Spot::default();
+        let ts = TimeSeries::from_values(xs.clone()).unwrap();
+        let batch = params.score(&ts, train).unwrap();
+        let mut det = StreamingSpot::new(params, train).unwrap();
+        let r = check_equivalence(name, &batch, &mut det, &xs, EquivalenceMode::Bitwise).unwrap();
+        assert!(r.passed, "{r}");
+        assert_eq!(r.compared, xs.len());
     }
 }
 
