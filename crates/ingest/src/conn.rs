@@ -345,8 +345,13 @@ impl Conn {
                 }
                 HttpRoute::Healthz => {
                     self.body_scratch.clear();
-                    self.body_scratch.extend_from_slice(b"ok\n");
-                    self.http_response(200, "OK", "text/plain", keep_alive, false);
+                    let (status, reason, body): (u16, &str, &[u8]) = if engine.log().healthy() {
+                        (200, "OK", b"ok\n")
+                    } else {
+                        (503, "Service Unavailable", b"log unavailable\n")
+                    };
+                    self.body_scratch.extend_from_slice(body);
+                    self.http_response(status, reason, "text/plain", keep_alive, false);
                 }
                 HttpRoute::Query { id: None }
                 | HttpRoute::NotFound

@@ -18,6 +18,7 @@
 //!   silently producing nonsense scores.
 
 use std::sync::Mutex;
+use std::time::Instant;
 
 use tsad_fleet::{Fleet, FleetCheckpoint, FleetConfig, SeriesId};
 use tsad_stream::DetectorFactory;
@@ -35,11 +36,18 @@ impl<D: WalDir> BatchLog for Mutex<Wal<D>> {
         wal.append(batch.iter().map(|&(id, v)| (id.0, v)))
     }
 
-    /// Enforces the group-commit age bound while the server is idle;
-    /// a no-op under the other fsync policies.
-    fn tick(&self) -> std::io::Result<()> {
+    /// Enforces the group-commit age bound while the server is idle and
+    /// returns the next one ([`Wal::sync_deadline`]); a no-op under the
+    /// other fsync policies. A failed sync poisons the log, which
+    /// [`BatchLog::healthy`] and the next append report.
+    fn tick(&self) -> Option<Instant> {
         let mut wal = self.lock().unwrap_or_else(|e| e.into_inner());
-        wal.tick().map(|_| ())
+        let _ = wal.tick();
+        wal.sync_deadline()
+    }
+
+    fn healthy(&self) -> bool {
+        !self.lock().unwrap_or_else(|e| e.into_inner()).is_poisoned()
     }
 }
 

@@ -119,11 +119,21 @@ pub trait BatchLog: Send + Sync {
     /// Appends one batch; returns its log sequence number.
     fn append(&self, batch: &[(SeriesId, f64)]) -> std::io::Result<u64>;
 
-    /// Periodic maintenance, driven by the server's idle poll passes.
-    /// Group-commit WALs use it to enforce their age bound when appends
-    /// stop arriving ([`tsad_wal::Wal::tick`]); the default is a no-op.
-    fn tick(&self) -> std::io::Result<()> {
-        Ok(())
+    /// Time-driven maintenance, run by an idle server worker before it
+    /// waits; returns when it next needs to run, and the worker wakes by
+    /// then even if no socket is ready. Group-commit WALs use it to
+    /// enforce their age bound when appends stop arriving
+    /// ([`tsad_wal::Wal::tick`]). The default does nothing and needs no
+    /// wake.
+    fn tick(&self) -> Option<Instant> {
+        None
+    }
+
+    /// Whether the log can still accept appends; `GET /healthz` answers
+    /// 503 while it cannot, so a load balancer drains the node. The
+    /// default is always healthy.
+    fn healthy(&self) -> bool {
+        true
     }
 }
 

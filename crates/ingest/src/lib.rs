@@ -83,7 +83,7 @@ pub use durable::{
 };
 pub use engine::{BatchLog, Engine, EngineConfig, EngineTotals, NoLog, SubmitError};
 pub use loadgen::{LoadGenConfig, LoadReport, Transport};
-pub use server::{serve, start, ServerConfig, ServerHandle};
+pub use server::{serve, start, ServerConfig, ServerHandle, Shutdown};
 
 use tsad_obs::{bucket_index, bucket_upper_bound, Counter, Gauge, Histogram};
 

@@ -6,18 +6,26 @@
 //! glue above it — [`recover_engine`] / [`checkpoint_now`] round-trips,
 //! the [`SubmitError::Internal`] wire mapping, and the registry
 //! fingerprint refusal (a log recorded under one catalog detector id
-//! must never replay into a fleet spawned from a different id).
+//! must never replay into a fleet spawned from a different id), and the
+//! served log's health and idle group-commit deadline.
+
+use std::io::{self, Read, Write};
+use std::net::TcpStream;
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::{Arc, Mutex};
+use std::time::{Duration, Instant};
 
 use tsad_detectors::registry::Params;
 use tsad_fleet::{BatchOutput, FleetConfig, SeriesId};
 use tsad_ingest::engine::{BatchLog, SubmitTiming};
 use tsad_ingest::{
     checkpoint_now, recover_engine, Conn, ConnConfig, DurableEngine, Engine, EngineConfig,
+    ServerConfig, SubmitError,
 };
 use tsad_stream::{
     DetectorFactory, FnFactory, RegistryFactory, StreamHints, StreamingGlobalZScore,
 };
-use tsad_wal::{MemDir, WalConfig, WalError};
+use tsad_wal::{FsyncPolicy, MemDir, MemFile, Wal, WalConfig, WalDir, WalError, WalFile};
 
 type ZFactory = FnFactory<fn(u64) -> StreamingGlobalZScore>;
 
@@ -278,4 +286,181 @@ fn wal_failure_maps_to_a_binary_error_frame() {
     conn.feed(&ping, &engine);
     assert_eq!(conn.output().len(), before, "closed conn answered a frame");
     assert_eq!(engine.totals().wal_errors, 1);
+}
+
+/// A [`MemDir`] that counts file syncs and can tear its next append:
+/// after [`Faulty::tear_next`], the next append writes half its bytes
+/// and fails, then the device works again.
+#[derive(Clone, Default)]
+struct Faulty {
+    inner: MemDir,
+    tear: Arc<AtomicBool>,
+    syncs: Arc<AtomicU64>,
+}
+
+impl Faulty {
+    fn tear_next(&self) {
+        self.tear.store(true, Ordering::SeqCst);
+    }
+
+    fn syncs(&self) -> u64 {
+        self.syncs.load(Ordering::SeqCst)
+    }
+
+    fn wrap(&self, inner: MemFile) -> FaultyFile {
+        FaultyFile {
+            inner,
+            tear: Arc::clone(&self.tear),
+            syncs: Arc::clone(&self.syncs),
+        }
+    }
+}
+
+struct FaultyFile {
+    inner: MemFile,
+    tear: Arc<AtomicBool>,
+    syncs: Arc<AtomicU64>,
+}
+
+impl WalFile for FaultyFile {
+    fn append(&mut self, buf: &[u8]) -> io::Result<()> {
+        if self.tear.swap(false, Ordering::SeqCst) {
+            self.inner.append(&buf[..buf.len() / 2])?;
+            return Err(io::Error::other("transient device error (torn write)"));
+        }
+        self.inner.append(buf)
+    }
+
+    fn sync(&mut self) -> io::Result<()> {
+        self.syncs.fetch_add(1, Ordering::SeqCst);
+        self.inner.sync()
+    }
+}
+
+impl WalDir for Faulty {
+    type File = FaultyFile;
+
+    fn create(&self, name: &str) -> io::Result<FaultyFile> {
+        Ok(self.wrap(self.inner.create(name)?))
+    }
+
+    fn open_append(&self, name: &str) -> io::Result<FaultyFile> {
+        Ok(self.wrap(self.inner.open_append(name)?))
+    }
+
+    fn list(&self) -> io::Result<Vec<String>> {
+        self.inner.list()
+    }
+
+    fn read(&self, name: &str) -> io::Result<Vec<u8>> {
+        self.inner.read(name)
+    }
+
+    fn size(&self, name: &str) -> io::Result<u64> {
+        self.inner.size(name)
+    }
+
+    fn remove(&self, name: &str) -> io::Result<()> {
+        self.inner.remove(name)
+    }
+
+    fn truncate(&self, name: &str, len: u64) -> io::Result<()> {
+        self.inner.truncate(name, len)
+    }
+}
+
+fn faulty_engine(dir: &Faulty, policy: FsyncPolicy) -> DurableEngine<ZFactory, Faulty> {
+    let cfg = WalConfig {
+        policy,
+        ..WalConfig::new(zfactory().fingerprint())
+    };
+    let wal = Wal::create(dir.clone(), cfg).expect("fresh log");
+    Engine::with_log(
+        tsad_fleet::Fleet::new(zfactory(), fleet_cfg()),
+        EngineConfig::default(),
+        Mutex::new(wal),
+    )
+}
+
+fn healthz<L: BatchLog>(engine: &Engine<ZFactory, L>) -> String {
+    let mut conn = Conn::new(ConnConfig::default());
+    conn.feed(b"GET /healthz HTTP/1.1\r\n\r\n", engine);
+    String::from_utf8_lossy(conn.output()).into_owned()
+}
+
+#[test]
+fn healthz_answers_503_while_the_wal_is_poisoned() {
+    let dir = Faulty::default();
+    let engine = faulty_engine(&dir, FsyncPolicy::PerBatch);
+    let ok = healthz(&engine);
+    assert!(ok.starts_with("HTTP/1.1 200 OK"), "healthy log: {ok}");
+
+    dir.tear_next();
+    let mut out = BatchOutput::new();
+    let mut t = SubmitTiming::default();
+    assert_eq!(
+        engine.submit(&batch(0), &mut out, &mut t),
+        Err(SubmitError::Internal)
+    );
+    assert!(engine.log().lock().unwrap().is_poisoned());
+
+    let down = healthz(&engine);
+    assert!(
+        down.starts_with("HTTP/1.1 503 Service Unavailable"),
+        "poisoned log: {down}"
+    );
+}
+
+#[test]
+fn an_idle_server_syncs_a_pending_group_commit_at_its_deadline() {
+    let dir = Faulty::default();
+    let engine = Arc::new(faulty_engine(
+        &dir,
+        FsyncPolicy::GroupCommit {
+            batches: 1_000,
+            max_pending_micros: 2_000,
+        },
+    ));
+    let server = tsad_ingest::start(
+        Arc::clone(&engine),
+        ServerConfig {
+            workers: 1,
+            ..ServerConfig::default()
+        },
+        "127.0.0.1:0",
+    )
+    .expect("bind loopback");
+    let mut stream = TcpStream::connect(server.addr()).expect("connect");
+    stream
+        .set_read_timeout(Some(Duration::from_secs(10)))
+        .unwrap();
+
+    // One INGEST far below the group size, then silence on a kept-alive
+    // connection: only the log's own deadline can wake the worker.
+    let before = dir.syncs();
+    let body = "1 0.5\n2 1.5\n";
+    let req = format!(
+        "POST /ingest HTTP/1.1\r\nContent-Length: {}\r\n\r\n{body}",
+        body.len()
+    );
+    stream.write_all(req.as_bytes()).unwrap();
+    let mut resp = Vec::new();
+    let mut chunk = [0u8; 1024];
+    while !resp.ends_with(b"}") {
+        let n = stream.read(&mut chunk).expect("response");
+        assert!(n > 0, "closed early");
+        resp.extend_from_slice(&chunk[..n]);
+    }
+    assert!(resp.starts_with(b"HTTP/1.1 200 OK"));
+    let acked = Instant::now();
+
+    while dir.syncs() == before {
+        assert!(
+            acked.elapsed() < Duration::from_millis(50),
+            "no group-commit sync within 50 ms of going idle"
+        );
+        std::thread::sleep(Duration::from_micros(200));
+    }
+    assert!(!engine.log().lock().unwrap().is_poisoned());
+    server.stop().expect("clean shutdown");
 }

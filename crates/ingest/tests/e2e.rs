@@ -242,3 +242,34 @@ fn http10_connection_close_semantics() {
     assert!(text.contains("Connection: close"), "{text}");
     handle.stop().expect("clean shutdown");
 }
+
+#[test]
+fn stop_wakes_workers_blocked_on_idle_keep_alive_connections() {
+    let (_engine, handle) = start_server(
+        EngineConfig::default(),
+        ServerConfig {
+            workers: 2,
+            ..ServerConfig::default()
+        },
+    );
+    // Four accepted connections, each answered once and then left idle:
+    // every worker then blocks until the 30 s keep-alive deadline unless
+    // shutdown wakes it.
+    let mut conns = Vec::new();
+    for _ in 0..4 {
+        let mut stream = TcpStream::connect(handle.addr()).expect("connect");
+        stream
+            .set_read_timeout(Some(Duration::from_secs(10)))
+            .unwrap();
+        let resp = send_recv(&mut stream, b"GET /healthz HTTP/1.1\r\n\r\n");
+        assert!(resp.starts_with("HTTP/1.1 200 OK"), "{resp}");
+        conns.push(stream);
+    }
+    std::thread::sleep(Duration::from_millis(20));
+
+    let t = std::time::Instant::now();
+    handle.stop().expect("clean shutdown");
+    let took = t.elapsed();
+    assert!(took < Duration::from_secs(1), "stop took {took:?}");
+    drop(conns);
+}

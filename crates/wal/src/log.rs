@@ -36,7 +36,7 @@
 //! than silently dropping admitted data.
 
 use std::io;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 use tsad_core::ckpt::{digest64, CkptReader, CkptWriter};
 
@@ -96,9 +96,10 @@ pub enum FsyncPolicy {
     /// A crash may lose up to one group of ACKed batches.
     ///
     /// The age bound is evaluated on the append path and by [`Wal::tick`];
-    /// if appends stop *and* nothing drives `tick` (the ingest server
-    /// calls it on idle poll passes), already-appended batches stay
-    /// unsynced until the next append or an explicit [`Wal::flush`].
+    /// if appends stop *and* nothing drives `tick`, already-appended
+    /// batches stay unsynced until the next append or an explicit
+    /// [`Wal::flush`]. The ingest server drives it: an idle worker sleeps
+    /// until [`Wal::sync_deadline`], then ticks.
     GroupCommit {
         /// Sync after this many unsynced batches.
         batches: u32,
@@ -939,26 +940,38 @@ impl<D: WalDir> Wal<D> {
 
     /// Enforces the group-commit age bound without a new append: syncs
     /// if unsynced batches older than `max_pending_micros` are pending.
-    /// Returns whether a sync happened. The ingest server drives this
-    /// from its idle poll passes; without such a driver the age bound
-    /// only holds while appends keep arriving (see
+    /// Returns whether a sync happened. The ingest server calls it when
+    /// an idle worker wakes at [`Wal::sync_deadline`]; without such a
+    /// caller the age bound only holds while appends keep arriving (see
     /// [`FsyncPolicy::GroupCommit`]). No-op under other policies.
     pub fn tick(&mut self) -> io::Result<bool> {
+        if !matches!(self.cfg.policy, FsyncPolicy::GroupCommit { .. }) {
+            return Ok(false);
+        }
+        self.check_usable()?;
+        if self.sync_deadline().is_none_or(|due| Instant::now() < due) {
+            return Ok(false);
+        }
+        self.flush().map(|()| true)
+    }
+
+    /// When [`Wal::tick`] next has work: the oldest unsynced batch's
+    /// append time plus `max_pending_micros`, while batches are pending
+    /// under [`FsyncPolicy::GroupCommit`]. `None` under the other
+    /// policies, with nothing pending, or on a poisoned log (which can
+    /// sync nothing more).
+    pub fn sync_deadline(&self) -> Option<Instant> {
         let FsyncPolicy::GroupCommit {
             max_pending_micros, ..
         } = self.cfg.policy
         else {
-            return Ok(false);
+            return None;
         };
-        self.check_usable()?;
-        let due = self.pending > 0
-            && self
-                .pending_since
-                .is_some_and(|t| t.elapsed().as_micros() as u64 >= max_pending_micros);
-        if !due {
-            return Ok(false);
+        if self.poisoned || self.pending == 0 {
+            return None;
         }
-        self.flush().map(|()| true)
+        self.pending_since?
+            .checked_add(Duration::from_micros(max_pending_micros))
     }
 
     /// Records a fleet checkpoint covering every batch up to and
@@ -1410,6 +1423,36 @@ mod tests {
         // nothing pending: the next tick is a no-op
         assert!(!wal.tick().unwrap());
         assert_eq!(wal.fsyncs(), 1);
+    }
+
+    #[test]
+    fn sync_deadline_is_the_oldest_pending_batch_plus_the_age_bound() {
+        let bound = Duration::from_micros(2_000);
+        let mut c = cfg();
+        c.policy = FsyncPolicy::GroupCommit {
+            batches: 1000,
+            max_pending_micros: 2_000,
+        };
+        let mut wal = Wal::create(MemDir::new(), c).unwrap();
+        assert_eq!(wal.sync_deadline(), None, "nothing pending");
+        let before = Instant::now();
+        wal.append(batch(1, 2)).unwrap();
+        let after = Instant::now();
+        let deadline = wal.sync_deadline().expect("a batch is pending");
+        assert!(deadline >= before + bound && deadline <= after + bound);
+        // a later append does not move the deadline: the oldest batch sets it
+        wal.append(batch(2, 2)).unwrap();
+        assert_eq!(wal.sync_deadline(), Some(deadline));
+        wal.flush().unwrap();
+        assert_eq!(wal.sync_deadline(), None, "synced: nothing pending");
+
+        for policy in [FsyncPolicy::PerBatch, FsyncPolicy::Off] {
+            let mut c = cfg();
+            c.policy = policy;
+            let mut wal = Wal::create(MemDir::new(), c).unwrap();
+            wal.append(batch(1, 2)).unwrap();
+            assert_eq!(wal.sync_deadline(), None);
+        }
     }
 
     #[test]
