@@ -35,6 +35,7 @@ pub mod error;
 pub mod fft;
 pub mod labels;
 pub mod ops;
+pub mod prefetch;
 pub mod sax;
 pub mod series;
 pub mod simd;

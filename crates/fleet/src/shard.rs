@@ -11,21 +11,67 @@
 //! function of the ingest history and therefore deterministic at every
 //! shard and thread count.
 //!
-//! All per-batch working memory (`inbox`, `scores`, quarantine and
-//! eviction lists) lives on the shard and is reused across batches:
-//! after the warm-up batches have grown them to their high-water mark,
-//! processing a batch performs no heap allocation.
+//! A batch runs in two passes, so the cache misses of many series
+//! overlap instead of forming one dependent chain per point:
+//!
+//! 1. **Resolve.** Every inbox point is mapped to its slot as of the
+//!    batch start, in a reused slot list. A miss is marked [`SPAWN`]
+//!    when it is the id's first point in the batch, else [`LOOKUP`]. A
+//!    per-batch bit filter over the spare high bits of the routing mix
+//!    decides which: a set bit means the id *may* have missed already,
+//!    so the miss is looked up again in the apply pass; a clear bit
+//!    proves it did not, so it spawns with no second hash lookup.
+//! 2. **Apply.** Points run in batch order exactly as a one-pass loop
+//!    would: quarantine, spawn (evicting for budget), `push`, recency
+//!    stamp, LRU touch. So scores, eviction order and checkpoint bytes
+//!    do not depend on the split. [`ENTRY_AHEAD`] points ahead, every
+//!    cache line of the slab entry is prefetched; [`STATE_AHEAD`] points
+//!    ahead, that entry is read and its LRU neighbours' links and the
+//!    detector's heap buffers ([`StreamingDetector::prefetch`]) are
+//!    prefetched.
+//!
+//! A resolved slot is a guess: a budget eviction earlier in the same
+//! batch can free the slot and hand it to another series. The apply pass
+//! uses a guess only when that slot still holds a detector for the same
+//! id, and otherwise looks the id up again.
+//!
+//! All per-batch working memory (`inbox`, resolved slots, spawn filter,
+//! `scores`, quarantine and eviction lists) lives on the shard and is
+//! reused across batches: after the warm-up batches have grown them to
+//! their high-water mark, processing a batch performs no heap
+//! allocation.
 
 use std::collections::HashMap;
 
 use tsad_core::ckpt::{corrupt, CkptReader, CkptWriter};
 use tsad_core::error::Result;
+use tsad_core::prefetch::prefetch;
 use tsad_stream::{DetectorFactory, StreamingDetector};
 
-use crate::{BatchNanPolicy, SeriesId};
+use crate::{mix64, BatchNanPolicy, SeriesId};
 
-/// Null index for the intrusive LRU links.
+/// Null index for the intrusive LRU links. Never a slab slot.
 const NIL: u32 = u32::MAX;
+
+/// Resolved mark: the series is not resident and this is its first point
+/// in the batch, so it spawns without a second lookup.
+const SPAWN: u32 = NIL;
+
+/// Resolved mark: the series was not resident at the batch start but may
+/// have been spawned by an earlier point of the batch; look it up again.
+const LOOKUP: u32 = NIL - 1;
+
+/// How many points ahead of the apply pass every line of a slab entry is
+/// prefetched.
+const ENTRY_AHEAD: usize = 8;
+
+/// How many points ahead the apply pass reads a (by then cached) entry
+/// to prefetch its LRU neighbours' links and its detector's buffers.
+const STATE_AHEAD: usize = 4;
+
+/// Spawn-filter bits per inbox point: at most one miss in sixteen pays a
+/// needless second lookup.
+const FILTER_BITS_PER_POINT: usize = 16;
 
 /// Fixed accounting overhead per resident series, covering the slab slot,
 /// LRU links, and the id→slot index entry. The point of the number is
@@ -40,10 +86,13 @@ pub fn entry_bytes<D: StreamingDetector>(det: &D) -> usize {
     ENTRY_OVERHEAD_BYTES + det.memory_bound().saturating_mul(8)
 }
 
-/// One resident series: its detector plus slab/LRU bookkeeping.
+/// One slab slot: a resident series' detector plus slab/LRU
+/// bookkeeping. A slot on the free list has no detector; its other fields
+/// are stale.
 struct Entry<D> {
     id: u64,
-    det: D,
+    /// `None` while the slot is vacant.
+    det: Option<D>,
     /// Accounted bytes (fixed at spawn; detector state is bounded).
     bytes: usize,
     /// Fleet batch counter when this series last received a data point.
@@ -77,7 +126,7 @@ pub(crate) struct ShardTally {
 }
 
 pub(crate) struct Shard<D> {
-    entries: Vec<Option<Entry<D>>>,
+    entries: Vec<Entry<D>>,
     free: Vec<u32>,
     index: HashMap<u64, u32>,
     lru_head: u32,
@@ -90,6 +139,11 @@ pub(crate) struct Shard<D> {
     pub(crate) quarantined: Vec<(usize, u64)>,
     pub(crate) evicted: Vec<u64>,
     pub(crate) tally: ShardTally,
+    /// Slot (or [`SPAWN`]/[`LOOKUP`]) per inbox point, from the resolve
+    /// pass.
+    resolved: Vec<u32>,
+    /// The resolve pass's per-batch bit filter over missed ids.
+    spawn_filter: Vec<u64>,
 }
 
 impl<D: StreamingDetector> Shard<D> {
@@ -107,6 +161,8 @@ impl<D: StreamingDetector> Shard<D> {
             quarantined: Vec::new(),
             evicted: Vec::new(),
             tally: ShardTally::default(),
+            resolved: Vec::new(),
+            spawn_filter: Vec::new(),
         }
     }
 
@@ -126,15 +182,18 @@ impl<D: StreamingDetector> Shard<D> {
     }
 
     fn entry(&self, slot: u32) -> &Entry<D> {
-        self.entries[slot as usize]
-            .as_ref()
-            .expect("LRU/index point at occupied slots")
+        &self.entries[slot as usize]
     }
 
     fn entry_mut(&mut self, slot: u32) -> &mut Entry<D> {
-        self.entries[slot as usize]
-            .as_mut()
-            .expect("LRU/index point at occupied slots")
+        &mut self.entries[slot as usize]
+    }
+
+    /// True when `slot` is a slab slot holding a detector for `id`.
+    fn holds(&self, slot: u32, id: u64) -> bool {
+        self.entries
+            .get(slot as usize)
+            .is_some_and(|e| e.id == id && e.det.is_some())
     }
 
     fn lru_unlink(&mut self, slot: u32) {
@@ -181,13 +240,13 @@ impl<D: StreamingDetector> Shard<D> {
             return None;
         }
         self.lru_unlink(head);
-        let entry = self.entries[head as usize]
-            .take()
-            .expect("LRU head is occupied");
-        self.index.remove(&entry.id);
-        self.bytes_in_use -= entry.bytes;
+        let entry = self.entry_mut(head);
+        entry.det = None;
+        let (id, bytes) = (entry.id, entry.bytes);
+        self.index.remove(&id);
+        self.bytes_in_use -= bytes;
         self.free.push(head);
-        Some(entry.id)
+        Some(id)
     }
 
     /// Inserts a freshly-spawned detector, evicting LRU entries first when
@@ -203,7 +262,7 @@ impl<D: StreamingDetector> Shard<D> {
         }
         let entry = Entry {
             id,
-            det,
+            det: Some(det),
             bytes,
             last_touch,
             lru_prev: NIL,
@@ -211,12 +270,15 @@ impl<D: StreamingDetector> Shard<D> {
         };
         let slot = match self.free.pop() {
             Some(s) => {
-                self.entries[s as usize] = Some(entry);
+                self.entries[s as usize] = entry;
                 s
             }
             None => {
-                let s = u32::try_from(self.entries.len()).expect("slab slots fit u32");
-                self.entries.push(Some(entry));
+                let s = u32::try_from(self.entries.len())
+                    .ok()
+                    .filter(|&s| s != NIL)
+                    .expect("slab slots fit below NIL");
+                self.entries.push(entry);
                 s
             }
         };
@@ -227,13 +289,23 @@ impl<D: StreamingDetector> Shard<D> {
     }
 
     /// Processes the routed inbox in batch order: quarantine, spawn,
-    /// feed, touch. Clears the inbox afterwards so buffers are ready for
-    /// the next batch.
+    /// feed, touch (the apply pass, after the resolve pass; see the module
+    /// docs). Clears the inbox afterwards so buffers are ready for the
+    /// next batch.
     pub(crate) fn process<F>(&mut self, factory: &F, policy: BatchNanPolicy, batch_no: u64)
     where
         F: DetectorFactory<Detector = D>,
     {
+        self.resolve();
+        for i in 0..ENTRY_AHEAD {
+            self.prefetch_entry(i);
+        }
+        for i in 0..STATE_AHEAD {
+            self.prefetch_state(i);
+        }
         for i in 0..self.inbox.len() {
+            self.prefetch_entry(i + ENTRY_AHEAD);
+            self.prefetch_state(i + STATE_AHEAD);
             let InPoint {
                 batch_index,
                 id,
@@ -243,16 +315,22 @@ impl<D: StreamingDetector> Shard<D> {
                 self.quarantined.push((batch_index, id));
                 continue;
             }
-            let slot = match self.index.get(&id) {
-                Some(&s) => s,
-                None => {
-                    self.tally.spawned += 1;
-                    self.insert(id, factory.spawn(id), batch_no)
+            let slot = match self.resolved[i] {
+                guess if self.holds(guess, id) => guess,
+                SPAWN => {
+                    debug_assert!(!self.index.contains_key(&id), "filter passed a resident id");
+                    self.spawn(factory, id, batch_no)
                 }
+                // a stale guess, a repeated miss or a filter collision
+                _ => match self.index.get(&id) {
+                    Some(&s) => s,
+                    None => self.spawn(factory, id, batch_no),
+                },
             };
             let entry = self.entry_mut(slot);
             entry.last_touch = batch_no;
-            if let Some(score) = entry.det.push(value) {
+            let det = entry.det.as_mut().expect("resolved slots are occupied");
+            if let Some(score) = det.push(value) {
                 self.scores.push(ScorePoint {
                     batch_index,
                     id,
@@ -263,6 +341,79 @@ impl<D: StreamingDetector> Shard<D> {
             self.tally.points += 1;
         }
         self.inbox.clear();
+    }
+
+    fn spawn<F>(&mut self, factory: &F, id: u64, batch_no: u64) -> u32
+    where
+        F: DetectorFactory<Detector = D>,
+    {
+        self.tally.spawned += 1;
+        self.insert(id, factory.spawn(id), batch_no)
+    }
+
+    /// The resolve pass: fills `resolved` with each inbox point's slot as
+    /// of the batch start, marking misses [`SPAWN`] or [`LOOKUP`] through
+    /// the spawn filter.
+    fn resolve(&mut self) {
+        let bits = (self.inbox.len() * FILTER_BITS_PER_POINT)
+            .next_power_of_two()
+            .max(64);
+        self.spawn_filter.clear();
+        self.spawn_filter.resize(bits / 64, 0);
+        self.resolved.clear();
+        for p in &self.inbox {
+            let slot = match self.index.get(&p.id) {
+                Some(&s) => s,
+                None => {
+                    // the low bits of the mix chose the shard; the high
+                    // ones are spare
+                    let bit = (mix64(p.id) >> 32) as usize & (bits - 1);
+                    let word = &mut self.spawn_filter[bit / 64];
+                    let mask = 1u64 << (bit % 64);
+                    let seen = *word & mask != 0;
+                    *word |= mask;
+                    if seen {
+                        LOOKUP
+                    } else {
+                        SPAWN
+                    }
+                }
+            };
+            self.resolved.push(slot);
+        }
+    }
+
+    /// Prefetches every cache line of the slab entry inbox point `i`
+    /// resolved to, if any.
+    fn prefetch_entry(&self, i: usize) {
+        if let Some(e) = self.resolved_entry(i) {
+            prefetch(e);
+        }
+    }
+
+    /// Reads the entry inbox point `i` resolved to (prefetched
+    /// [`ENTRY_AHEAD`] points earlier) and prefetches what its apply step
+    /// touches beyond it: the detector's heap buffers and the links of
+    /// its LRU neighbours.
+    fn prefetch_state(&self, i: usize) {
+        let Some(e) = self.resolved_entry(i) else {
+            return;
+        };
+        if let Some(det) = &e.det {
+            det.prefetch();
+        }
+        if let Some(prev) = self.entries.get(e.lru_prev as usize) {
+            prefetch(&prev.lru_next);
+        }
+        if let Some(next) = self.entries.get(e.lru_next as usize) {
+            prefetch(&next.lru_prev);
+        }
+    }
+
+    /// The slab entry inbox point `i` resolved to, without reading it.
+    fn resolved_entry(&self, i: usize) -> Option<&Entry<D>> {
+        let &slot = self.resolved.get(i)?;
+        self.entries.get(slot as usize)
     }
 
     /// Evicts every series idle for more than `max_idle` batches (walked
@@ -303,10 +454,11 @@ impl<D: StreamingDetector> Shard<D> {
         let mut slot = self.lru_head;
         while slot != NIL {
             let e = self.entry(slot);
+            let det = e.det.as_ref().expect("LRU links occupied slots");
             w.u64(e.id);
-            w.str(&e.det.name());
+            w.str(&det.name());
             w.u64(e.last_touch);
-            e.det.save_state(&mut w);
+            det.save_state(&mut w);
             slot = e.lru_next;
         }
         w.finish()

@@ -21,6 +21,7 @@ use std::sync::Mutex;
 use std::time::Instant;
 
 use tsad_fleet::{Fleet, FleetCheckpoint, FleetConfig, SeriesId};
+use tsad_parallel::with_threads;
 use tsad_stream::DetectorFactory;
 use tsad_wal::{recover, Wal, WalConfig, WalDir, WalError};
 
@@ -101,13 +102,18 @@ where
         }
         None => None,
     };
-    let mut out = tsad_fleet::BatchOutput::new();
-    let mut scratch: Vec<(SeriesId, f64)> = Vec::new();
-    for batch in &rec.batches {
-        scratch.clear();
-        scratch.extend(batch.points.iter().map(|&(id, v)| (SeriesId(id), v)));
-        fleet.push_batch(&scratch, &mut out);
-    }
+    // replay at the serving thread count, as `Engine::submit` applies
+    // batches; outside `with_threads` every batch would fan out at the
+    // process default
+    with_threads(engine_cfg.fleet_threads, || {
+        let mut out = tsad_fleet::BatchOutput::new();
+        let mut scratch: Vec<(SeriesId, f64)> = Vec::new();
+        for batch in &rec.batches {
+            scratch.clear();
+            scratch.extend(batch.points.iter().map(|&(id, v)| (SeriesId(id), v)));
+            fleet.push_batch(&scratch, &mut out);
+        }
+    });
     let replayed_batches = rec.batches.len() as u64;
 
     let wal = Wal::resume(dir, wal_cfg, &rec)?;

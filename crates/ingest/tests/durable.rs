@@ -157,6 +157,45 @@ fn checkpoint_plus_wal_tail_equals_pre_crash_state() {
 }
 
 #[test]
+fn replay_is_bitwise_equal_at_every_fleet_thread_count() {
+    let dir = MemDir::new();
+    let rec = recover_engine(
+        dir.clone(),
+        zfactory(),
+        wal_cfg(),
+        fleet_cfg(),
+        EngineConfig::default(),
+    )
+    .unwrap();
+    submit_n(&rec.engine, 0, 4);
+    checkpoint_now(&rec.engine).expect("checkpoint");
+    submit_n(&rec.engine, 4, 9);
+    let expected = state_of(&rec.engine);
+    drop(rec);
+
+    for fleet_threads in [1, 4] {
+        let again = recover_engine(
+            dir.survivor(),
+            zfactory(),
+            wal_cfg(),
+            fleet_cfg(),
+            EngineConfig {
+                fleet_threads,
+                ..EngineConfig::default()
+            },
+        )
+        .unwrap();
+        assert_eq!(again.checkpoint_seq, Some(4));
+        assert_eq!(again.replayed_batches, 9, "fleet_threads={fleet_threads}");
+        assert_eq!(
+            state_of(&again.engine),
+            expected,
+            "fleet_threads={fleet_threads}: recovered fleet diverges"
+        );
+    }
+}
+
+#[test]
 fn a_log_recorded_under_one_catalog_id_is_refused_by_another() {
     let cusum = RegistryFactory::new("cusum", Params::new(), StreamHints::default()).unwrap();
     let cusum_fp = cusum.fingerprint();

@@ -23,6 +23,7 @@ use std::collections::VecDeque;
 
 use tsad_core::ckpt::{corrupt, CkptReader, CkptWriter};
 use tsad_core::error::{CoreError, Result};
+use tsad_core::prefetch::{prefetch, prefetch_deque};
 use tsad_detectors::baselines::GlobalZScore;
 use tsad_detectors::cusum::Cusum;
 use tsad_detectors::spot::Spot;
@@ -149,6 +150,11 @@ impl<M: PrefixCalibrated> StreamingDetector for CalibratedStream<M> {
     fn memory_bound(&self) -> usize {
         // prefix + backlog + model state
         2 * self.train_len + M::STATE_WORDS
+    }
+
+    fn prefetch(&self) {
+        prefetch(self.prefix.as_slice());
+        prefetch_deque(&self.ready);
     }
 
     fn save_state(&self, w: &mut CkptWriter) {

@@ -104,6 +104,19 @@ pub trait StreamingDetector {
     /// stream length by construction.
     fn memory_bound(&self) -> usize;
 
+    /// Hints that [`push`](Self::push) will run soon: issues software
+    /// prefetches for the heap buffers `push` touches, so a caller that
+    /// walks many detectors (the fleet) can overlap their cache misses.
+    ///
+    /// A hint only. It must not change observable state: `save_state`
+    /// bytes and every later output stay bitwise identical. It must not
+    /// demand-load anything the caller did not already touch: it reads
+    /// only the detector's own inline fields (buffer pointers and
+    /// lengths), never the memory they point to, and only names that
+    /// memory in prefetches (see [`tsad_core::prefetch`]). The default
+    /// does nothing.
+    fn prefetch(&self) {}
+
     /// Convenience: streams a whole slice and returns the full score
     /// sequence (`push` outputs then `finish`), aligned to
     /// `score_offset()`.
@@ -154,6 +167,11 @@ impl<T: StreamingDetector + ?Sized> StreamingDetector for Box<T> {
     }
     fn memory_bound(&self) -> usize {
         (**self).memory_bound()
+    }
+    /// Prefetches the boxed detector itself. Forwarding to its own hint
+    /// would read the box's contents, which the hint contract forbids.
+    fn prefetch(&self) {
+        tsad_core::prefetch::prefetch(&**self)
     }
     fn save_state(&self, w: &mut CkptWriter) {
         (**self).save_state(w)

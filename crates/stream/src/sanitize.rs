@@ -52,6 +52,7 @@ use std::fmt;
 
 use tsad_core::ckpt::{corrupt, CkptReader, CkptWriter};
 use tsad_core::error::Result;
+use tsad_core::prefetch::prefetch_deque;
 use tsad_obs::Counter;
 
 use crate::StreamingDetector;
@@ -342,6 +343,13 @@ impl<D: StreamingDetector> StreamingDetector for Sanitized<D> {
         // module docs describe the one burst shape that can transiently
         // exceed this via retained resolved scores.
         self.inner.memory_bound() + 6 * (self.inner.lag() + self.inner.score_offset() + 2) + 2
+    }
+
+    fn prefetch(&self) {
+        self.inner.prefetch();
+        prefetch_deque(&self.slots);
+        prefetch_deque(&self.inner_ready);
+        prefetch_deque(&self.out_ready);
     }
 
     fn save_state(&self, w: &mut CkptWriter) {

@@ -6,10 +6,11 @@
 //! registry, so adding a detector extends the proof with zero new test
 //! code.
 
+use tsad_core::ckpt::CkptWriter;
 use tsad_detectors::registry::Params;
 use tsad_stream::{
-    checkpoint, restore, DetectorFactory, RegistryFactory, StreamHints, StreamRegistry,
-    StreamingDetector,
+    checkpoint, restore, DetectorFactory, NanPolicy, RegistryFactory, Sanitized, StreamHints,
+    StreamRegistry, StreamingDetector,
 };
 
 fn series(n: usize) -> Vec<f64> {
@@ -56,6 +57,63 @@ fn every_entry_roundtrips_a_mid_stream_checkpoint_bitwise() {
                 );
             }
         }
+    }
+}
+
+fn state_bytes(det: &dyn StreamingDetector) -> Vec<u8> {
+    let mut w = CkptWriter::new();
+    det.save_state(&mut w);
+    w.finish()
+}
+
+/// Pushes a prefix into two twins, prefetches one of them through
+/// `hint`, and requires identical state bytes and bitwise-identical
+/// remaining outputs.
+fn assert_prefetch_is_pure<D: StreamingDetector>(
+    what: &str,
+    build: impl Fn() -> D,
+    hint: impl Fn(&D),
+    xs: &[f64],
+) {
+    let cut = xs.len() / 2;
+    let (mut hinted, mut plain) = (build(), build());
+    for &v in &xs[..cut] {
+        hinted.push(v);
+        plain.push(v);
+    }
+    let before = state_bytes(&hinted);
+    hint(&hinted);
+    assert_eq!(
+        state_bytes(&hinted),
+        before,
+        "{what}: prefetch changed state"
+    );
+    for (i, &v) in xs[cut..].iter().enumerate() {
+        hint(&hinted);
+        let (a, b) = (hinted.push(v), plain.push(v));
+        assert_eq!(a.map(f64::to_bits), b.map(f64::to_bits), "{what}: push {i}");
+    }
+    let (a, b) = (hinted.finish(), plain.finish());
+    assert_eq!(
+        a.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
+        b.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
+        "{what}: finish"
+    );
+}
+
+#[test]
+fn prefetch_is_a_pure_hint_for_every_entry() {
+    let reg = StreamRegistry::standard();
+    let mut xs = series(300);
+    xs[170] = f64::NAN;
+    for entry in reg.catalog().entries() {
+        let build = || reg.build(entry.id, &Params::new(), &hints()).unwrap();
+        let finite = &xs[..160];
+        // the box hint, then the detector's own hint behind it
+        assert_prefetch_is_pure(entry.id, build, |d| d.prefetch(), finite);
+        assert_prefetch_is_pure(entry.id, build, |d| (**d).prefetch(), finite);
+        let sanitized = || Sanitized::new(build(), NanPolicy::Skip);
+        assert_prefetch_is_pure(entry.id, sanitized, |d| d.prefetch(), &xs);
     }
 }
 
