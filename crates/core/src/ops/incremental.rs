@@ -23,7 +23,6 @@
 use super::{window_mean, window_std};
 use crate::ckpt::{corrupt, CkptReader, CkptState, CkptWriter};
 use crate::error::{CoreError, Result};
-use crate::prefetch::{prefetch, prefetch_deque};
 use std::collections::VecDeque;
 
 /// Fixed-capacity ring buffer over `f64` with *logical* (stream) indexing:
@@ -110,11 +109,6 @@ impl RingBuffer {
     pub fn clear(&mut self) {
         self.buf.clear();
         self.evicted = 0;
-    }
-
-    /// Hints that the buffer will be read soon (see [`crate::prefetch`]).
-    pub fn prefetch(&self) {
-        prefetch_deque(&self.buf);
     }
 }
 
@@ -343,11 +337,6 @@ impl Centered {
         2 * self.ring.capacity()
     }
 
-    fn prefetch(&self) {
-        self.ring.prefetch();
-        prefetch(self.scratch.as_slice());
-    }
-
     fn save(&self, w: &mut CkptWriter) {
         self.ring.save(w);
         w.usize(self.pushed);
@@ -416,12 +405,6 @@ macro_rules! centered_node {
             /// Upper bound on retained `f64` state, in elements.
             pub fn memory_bound(&self) -> usize {
                 self.w.memory_bound()
-            }
-
-            /// Hints that the next `push` will run soon (see
-            /// [`crate::prefetch`]).
-            pub fn prefetch(&self) {
-                self.w.prefetch();
             }
         }
 

@@ -203,7 +203,7 @@ pub struct RestoreReport {
 /// Murmur3 finalizer: the fixed series→shard mix. Deterministic across
 /// processes and platforms, so checkpoints route identically forever.
 #[inline]
-pub(crate) fn mix64(mut x: u64) -> u64 {
+fn mix64(mut x: u64) -> u64 {
     x ^= x >> 33;
     x = x.wrapping_mul(0xff51_afd7_ed55_8ccd);
     x ^= x >> 33;

@@ -15,12 +15,8 @@
 //! overlap instead of forming one dependent chain per point:
 //!
 //! 1. **Resolve.** Every inbox point is mapped to its slot as of the
-//!    batch start, in a reused slot list. A miss is marked [`SPAWN`]
-//!    when it is the id's first point in the batch, else [`LOOKUP`]. A
-//!    per-batch bit filter over the spare high bits of the routing mix
-//!    decides which: a set bit means the id *may* have missed already,
-//!    so the miss is looked up again in the apply pass; a clear bit
-//!    proves it did not, so it spawns with no second hash lookup.
+//!    batch start, in a reused slot list; a series that is not resident
+//!    is marked [`NIL`].
 //! 2. **Apply.** Points run in batch order exactly as a one-pass loop
 //!    would: quarantine, spawn (evicting for budget), `push`, recency
 //!    stamp, LRU touch. So scores, eviction order and checkpoint bytes
@@ -33,13 +29,13 @@
 //! A resolved slot is a guess: a budget eviction earlier in the same
 //! batch can free the slot and hand it to another series. The apply pass
 //! uses a guess only when that slot still holds a detector for the same
-//! id, and otherwise looks the id up again.
+//! id. Otherwise, and for every miss (an earlier point of the batch may
+//! have spawned the series), it looks the id up again.
 //!
-//! All per-batch working memory (`inbox`, resolved slots, spawn filter,
-//! `scores`, quarantine and eviction lists) lives on the shard and is
-//! reused across batches: after the warm-up batches have grown them to
-//! their high-water mark, processing a batch performs no heap
-//! allocation.
+//! All per-batch working memory (`inbox`, resolved slots, `scores`,
+//! quarantine and eviction lists) lives on the shard and is reused across
+//! batches: after the warm-up batches have grown them to their high-water
+//! mark, processing a batch performs no heap allocation.
 
 use std::collections::HashMap;
 
@@ -48,18 +44,11 @@ use tsad_core::error::Result;
 use tsad_core::prefetch::prefetch;
 use tsad_stream::{DetectorFactory, StreamingDetector};
 
-use crate::{mix64, BatchNanPolicy, SeriesId};
+use crate::{BatchNanPolicy, SeriesId};
 
-/// Null index for the intrusive LRU links. Never a slab slot.
+/// Null index for the intrusive LRU links and the resolve pass's mark
+/// for a series that is not resident. Never a slab slot.
 const NIL: u32 = u32::MAX;
-
-/// Resolved mark: the series is not resident and this is its first point
-/// in the batch, so it spawns without a second lookup.
-const SPAWN: u32 = NIL;
-
-/// Resolved mark: the series was not resident at the batch start but may
-/// have been spawned by an earlier point of the batch; look it up again.
-const LOOKUP: u32 = NIL - 1;
 
 /// How many points ahead of the apply pass every line of a slab entry is
 /// prefetched.
@@ -68,10 +57,6 @@ const ENTRY_AHEAD: usize = 8;
 /// How many points ahead the apply pass reads a (by then cached) entry
 /// to prefetch its LRU neighbours' links and its detector's buffers.
 const STATE_AHEAD: usize = 4;
-
-/// Spawn-filter bits per inbox point: at most one miss in sixteen pays a
-/// needless second lookup.
-const FILTER_BITS_PER_POINT: usize = 16;
 
 /// Fixed accounting overhead per resident series, covering the slab slot,
 /// LRU links, and the id→slot index entry. The point of the number is
@@ -139,11 +124,8 @@ pub(crate) struct Shard<D> {
     pub(crate) quarantined: Vec<(usize, u64)>,
     pub(crate) evicted: Vec<u64>,
     pub(crate) tally: ShardTally,
-    /// Slot (or [`SPAWN`]/[`LOOKUP`]) per inbox point, from the resolve
-    /// pass.
+    /// Slot (or [`NIL`]) per inbox point, from the resolve pass.
     resolved: Vec<u32>,
-    /// The resolve pass's per-batch bit filter over missed ids.
-    spawn_filter: Vec<u64>,
 }
 
 impl<D: StreamingDetector> Shard<D> {
@@ -162,7 +144,6 @@ impl<D: StreamingDetector> Shard<D> {
             evicted: Vec::new(),
             tally: ShardTally::default(),
             resolved: Vec::new(),
-            spawn_filter: Vec::new(),
         }
     }
 
@@ -317,14 +298,13 @@ impl<D: StreamingDetector> Shard<D> {
             }
             let slot = match self.resolved[i] {
                 guess if self.holds(guess, id) => guess,
-                SPAWN => {
-                    debug_assert!(!self.index.contains_key(&id), "filter passed a resident id");
-                    self.spawn(factory, id, batch_no)
-                }
-                // a stale guess, a repeated miss or a filter collision
+                // a miss at the batch start, or a guess gone stale
                 _ => match self.index.get(&id) {
                     Some(&s) => s,
-                    None => self.spawn(factory, id, batch_no),
+                    None => {
+                        self.tally.spawned += 1;
+                        self.insert(id, factory.spawn(id), batch_no)
+                    }
                 },
             };
             let entry = self.entry_mut(slot);
@@ -343,44 +323,16 @@ impl<D: StreamingDetector> Shard<D> {
         self.inbox.clear();
     }
 
-    fn spawn<F>(&mut self, factory: &F, id: u64, batch_no: u64) -> u32
-    where
-        F: DetectorFactory<Detector = D>,
-    {
-        self.tally.spawned += 1;
-        self.insert(id, factory.spawn(id), batch_no)
-    }
-
     /// The resolve pass: fills `resolved` with each inbox point's slot as
-    /// of the batch start, marking misses [`SPAWN`] or [`LOOKUP`] through
-    /// the spawn filter.
+    /// of the batch start, [`NIL`] for a series that is not resident.
     fn resolve(&mut self) {
-        let bits = (self.inbox.len() * FILTER_BITS_PER_POINT)
-            .next_power_of_two()
-            .max(64);
-        self.spawn_filter.clear();
-        self.spawn_filter.resize(bits / 64, 0);
+        let index = &self.index;
         self.resolved.clear();
-        for p in &self.inbox {
-            let slot = match self.index.get(&p.id) {
-                Some(&s) => s,
-                None => {
-                    // the low bits of the mix chose the shard; the high
-                    // ones are spare
-                    let bit = (mix64(p.id) >> 32) as usize & (bits - 1);
-                    let word = &mut self.spawn_filter[bit / 64];
-                    let mask = 1u64 << (bit % 64);
-                    let seen = *word & mask != 0;
-                    *word |= mask;
-                    if seen {
-                        LOOKUP
-                    } else {
-                        SPAWN
-                    }
-                }
-            };
-            self.resolved.push(slot);
-        }
+        self.resolved.extend(
+            self.inbox
+                .iter()
+                .map(|p| index.get(&p.id).copied().unwrap_or(NIL)),
+        );
     }
 
     /// Prefetches every cache line of the slab entry inbox point `i`

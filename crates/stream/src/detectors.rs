@@ -88,12 +88,6 @@ impl StreamingDetector for StreamingMovingAvgResidual {
         self.mm.memory_bound() + self.ms.memory_bound() + self.raw.capacity()
     }
 
-    fn prefetch(&self) {
-        self.raw.prefetch();
-        self.mm.prefetch();
-        self.ms.prefetch();
-    }
-
     fn save_state(&self, w: &mut CkptWriter) {
         self.mm.save(w);
         self.ms.save(w);

@@ -28,7 +28,6 @@ use tsad_core::ckpt::{corrupt, CkptReader, CkptState, CkptWriter};
 use tsad_core::dist::dot_to_znorm_dist;
 use tsad_core::error::{CoreError, Result};
 use tsad_core::ops::incremental::RingBuffer;
-use tsad_core::prefetch::{prefetch, prefetch_deque};
 use tsad_detectors::matrix_profile::{exclusion_zone, ProfileMetric};
 
 use crate::StreamingDetector;
@@ -287,14 +286,6 @@ impl StreamingDetector for StreamingLeftDiscord {
 
     fn memory_bound(&self) -> usize {
         self.values.capacity() + 4 * (self.horizon + 1) + 2 * self.m
-    }
-
-    fn prefetch(&self) {
-        self.values.prefetch();
-        prefetch_deque(&self.dots);
-        prefetch_deque(&self.wstats);
-        prefetch_deque(&self.tail);
-        prefetch(self.scratch.as_slice());
     }
 
     fn save_state(&self, w: &mut CkptWriter) {

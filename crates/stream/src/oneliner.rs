@@ -33,7 +33,6 @@ use std::collections::VecDeque;
 use tsad_core::ckpt::{corrupt, CkptReader, CkptState, CkptWriter};
 use tsad_core::error::{CoreError, Result};
 use tsad_core::ops::incremental;
-use tsad_core::prefetch::{prefetch, prefetch_deque};
 use tsad_detectors::oneliner::{Expr, OneLiner};
 
 use crate::StreamingDetector;
@@ -250,37 +249,6 @@ impl Node {
                 *qa = r.f64_vec()?.into();
                 *qb = r.f64_vec()?.into();
                 Ok(())
-            }
-        }
-    }
-
-    /// Prefetches this node's own buffers and its children's nodes;
-    /// descending further would read the children.
-    fn prefetch(&self) {
-        match self {
-            Node::Source | Node::Const(_) => {}
-            Node::Diff(inner, _) | Node::Abs(inner) | Node::Scale(_, inner) => prefetch(&**inner),
-            Node::MovMean(inner, n) => {
-                prefetch(&**inner);
-                n.prefetch();
-            }
-            Node::MovStd(inner, n) => {
-                prefetch(&**inner);
-                n.prefetch();
-            }
-            Node::MovMax(inner, n) => {
-                prefetch(&**inner);
-                n.prefetch();
-            }
-            Node::MovMin(inner, n) => {
-                prefetch(&**inner);
-                n.prefetch();
-            }
-            Node::Bin { a, b, qa, qb, .. } => {
-                prefetch(&**a);
-                prefetch(&**b);
-                prefetch_deque(qa);
-                prefetch_deque(qb);
             }
         }
     }
@@ -549,10 +517,6 @@ impl StreamingDetector for StreamingOneLiner {
 
     fn memory_bound(&self) -> usize {
         self.root.memory_bound()
-    }
-
-    fn prefetch(&self) {
-        self.root.prefetch();
     }
 
     fn save_state(&self, w: &mut CkptWriter) {
