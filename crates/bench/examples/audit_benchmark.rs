@@ -8,14 +8,16 @@
 //! cargo run --release --example audit_benchmark
 //! ```
 
-use tsad::eval::flaws::{density, mislabel, position, triviality};
-use tsad::prelude::*;
+use tsad_core::Dataset;
+use tsad_detectors::oneliner::SearchConfig;
+use tsad_eval::flaws::{density, mislabel, position, triviality};
+use tsad_synth::yahoo::Family as YahooFamily;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let seed = 42;
     // audit a slice of the simulated Yahoo A1 family
     let datasets: Vec<Dataset> = (1..=20)
-        .map(|i| tsad::synth::yahoo::generate(seed, YahooFamily::A1, i).dataset)
+        .map(|i| tsad_synth::yahoo::generate(seed, YahooFamily::A1, i).dataset)
         .collect();
 
     println!("auditing {} series for the four flaws…\n", datasets.len());

@@ -6,10 +6,13 @@
 
 use std::path::PathBuf;
 
-use tsad::archive::builder::build_archive;
-use tsad::archive::contest::run_contest;
-use tsad::archive::io::{read_archive_dir, write_dataset};
-use tsad::prelude::*;
+use tsad_archive::builder::build_archive;
+use tsad_archive::contest::run_contest;
+use tsad_archive::io::{read_archive_dir, write_dataset};
+use tsad_detectors::baselines::NaiveLastPoint;
+use tsad_detectors::matrix_profile::DiscordDetector;
+use tsad_detectors::telemanom::Telemanom;
+use tsad_detectors::Detector;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let mut args = std::env::args().skip(1);

@@ -6,9 +6,12 @@
 //! cargo run --release --example noise_invariance
 //! ```
 
-use tsad::detectors::threshold::discrimination_ratio;
-use tsad::prelude::*;
-use tsad::synth::physio::fig13_ecg;
+use tsad_detectors::matrix_profile::DiscordDetector;
+use tsad_detectors::telemanom::Telemanom;
+use tsad_detectors::threshold::discrimination_ratio;
+use tsad_detectors::Detector;
+use tsad_eval::ucr::ucr_correct;
+use tsad_synth::physio::fig13_ecg;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     // the Fig. 13 configuration: the forecaster sees one full beat of
@@ -30,7 +33,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         ] {
             let score = det.score(dataset.series(), dataset.train_len())?;
             let test = &score[dataset.train_len()..];
-            let peak = dataset.train_len() + tsad::core::stats::argmax(test)?;
+            let peak = dataset.train_len() + tsad_core::stats::argmax(test)?;
             let correct = ucr_correct(peak, dataset.labels())?;
             println!(
                 "{sigma:>7.2} | {name:<9} | {:<12} | {:.2}",

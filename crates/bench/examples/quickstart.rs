@@ -5,12 +5,16 @@
 //! cargo run --release --example quickstart
 //! ```
 
-use tsad::prelude::*;
+use tsad_detectors::matrix_profile::DiscordDetector;
+use tsad_detectors::most_anomalous_point;
+use tsad_detectors::oneliner::{search as one_liner_search, SearchConfig};
+use tsad_eval::ucr::ucr_correct;
+use tsad_synth::yahoo::Family as YahooFamily;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     // 1. Generate a simulated Yahoo A1 exemplar (traffic-like series with
     //    spike anomalies, end-biased placement — all the flaws included).
-    let series = tsad::synth::yahoo::generate(7, YahooFamily::A1, 3);
+    let series = tsad_synth::yahoo::generate(7, YahooFamily::A1, 3);
     let dataset = &series.dataset;
     println!(
         "dataset {:?}: {} points, {} labeled anomaly region(s)",
@@ -47,10 +51,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // 4. Score it the way the paper recommends: binary location accuracy
     //    needs a single-anomaly dataset, so build one from the archive.
-    let entry = tsad::archive::builder::build_entry(
+    let entry = tsad_archive::builder::build_entry(
         7,
-        tsad::archive::builder::Domain::Space,
-        tsad::archive::builder::Difficulty::Medium,
+        tsad_archive::builder::Domain::Space,
+        tsad_archive::builder::Difficulty::Medium,
     );
     let predicted =
         most_anomalous_point(&detector, entry.dataset.series(), entry.dataset.train_len())?;

@@ -12,7 +12,7 @@
 //! cargo run --release --example streaming
 //! ```
 
-use tsad::detectors::matrix_profile::{left_stomp, stomp, ProfileMetric};
+use tsad_detectors::matrix_profile::{left_stomp, stomp, ProfileMetric};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     // a periodic signal where the same novel event strikes twice

@@ -6,9 +6,9 @@
 //! cargo run --release --example taxi_discords
 //! ```
 
-use tsad::detectors::matrix_profile::stomp;
-use tsad::detectors::threshold::top_k_peaks;
-use tsad::synth::numenta::{nyc_taxi, TAXI_SAMPLES_PER_DAY};
+use tsad_detectors::matrix_profile::stomp;
+use tsad_detectors::threshold::top_k_peaks;
+use tsad_synth::numenta::{nyc_taxi, TAXI_SAMPLES_PER_DAY};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let taxi = nyc_taxi(42);

@@ -24,6 +24,30 @@
 //! | `audit` | [`experiments::audit_exp`] | §2.6 audit verdict: benchmark vs archive |
 //! | `stream` | [`experiments::stream`] | streaming engine: equivalence + replay tables |
 //! | `catalog` | [`experiments::catalog`] | full detector registry × Yahoo triviality grid |
+//!
+//! ## Quickstart
+//!
+//! The member crates are used directly; this crate depends on all of
+//! them, so its examples and cross-crate tests live here.
+//!
+//! ```
+//! use tsad_detectors::oneliner::{search, SearchConfig};
+//! use tsad_synth::yahoo::Family;
+//!
+//! // generate a simulated Yahoo A1 series with its (flawed) labels
+//! let series = tsad_synth::yahoo::generate(7, Family::A1, 1);
+//!
+//! // is it trivially solvable with one line of "MATLAB"?
+//! let solution = search(
+//!     series.dataset.values(),
+//!     series.dataset.labels(),
+//!     &SearchConfig::default(),
+//! )
+//! .unwrap();
+//! if let Some(sol) = solution {
+//!     println!("{} solves {}", sol.one_liner, series.dataset.name());
+//! }
+//! ```
 
 pub mod alloc_track;
 pub mod gate;

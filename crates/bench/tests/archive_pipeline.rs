@@ -2,12 +2,12 @@
 //! reload → contest → audit. This is the full §3 workflow a downstream
 //! user would run.
 
-use tsad::archive::builder::build_archive;
-use tsad::archive::contest::run_contest;
-use tsad::archive::io::read_archive_dir;
-use tsad::archive::manifest::{read_manifest, write_archive};
-use tsad::eval::flaws::audit::{audit, AuditConfig};
-use tsad::prelude::*;
+use tsad_archive::builder::build_archive;
+use tsad_archive::contest::run_contest;
+use tsad_archive::io::read_archive_dir;
+use tsad_archive::manifest::{read_manifest, write_archive};
+use tsad_detectors::matrix_profile::DiscordDetector;
+use tsad_eval::flaws::audit::{audit, AuditConfig};
 
 #[test]
 fn full_archive_pipeline_on_disk() {
@@ -44,7 +44,7 @@ fn full_archive_pipeline_on_disk() {
     // contest on the reloaded data: a real detector beats random
     let discord = run_contest(&DiscordDetector::new(128), &datasets).unwrap();
     let random = run_contest(
-        &tsad::detectors::baselines::RandomDetector::new(3),
+        &tsad_detectors::baselines::RandomDetector::new(3),
         &datasets,
     )
     .unwrap();

@@ -1,12 +1,19 @@
 //! Cross-crate integration tests: the paper's headline claims, verified
-//! end-to-end through the public facade.
+//! end-to-end through the member crates' public APIs.
 //!
 //! These use subsampled workloads so they stay fast in debug mode; the
 //! full-size reproductions live in the `repro` binary and the Criterion
 //! benches.
 
-use tsad::eval::flaws::{density, position, triviality};
-use tsad::prelude::*;
+use tsad_core::{Dataset, Labels, Region, TimeSeries};
+use tsad_detectors::baselines::{GlobalZScore, MovingAvgResidual, NaiveLastPoint};
+use tsad_detectors::matrix_profile::DiscordDetector;
+use tsad_detectors::oneliner::{Equation, SearchConfig};
+use tsad_detectors::{most_anomalous_point, Detector};
+use tsad_eval::flaws::{density, position, triviality};
+use tsad_eval::scoring::{best_f1_over_thresholds, F1Protocol};
+use tsad_eval::ucr::{ucr_accuracy, ucr_correct};
+use tsad_synth::yahoo::Family as YahooFamily;
 
 /// §2.2 / Table 1 — a large majority of simulated Yahoo series yield to a
 /// one-liner, and the *hard* archetypes do not.
@@ -25,7 +32,7 @@ fn most_yahoo_series_are_trivial() {
         YahooFamily::A4,
     ] {
         for index in 1..=10 {
-            let series = tsad::synth::yahoo::generate(42, family, index);
+            let series = tsad_synth::yahoo::generate(42, family, index);
             total += 1;
             if triviality::analyze(&series.dataset, &config)
                 .unwrap()
@@ -45,7 +52,7 @@ fn hard_a1_series_are_not_trivial() {
     let config = SearchConfig::default();
     let mut unsolved = 0;
     for index in 48..=55 {
-        let series = tsad::synth::yahoo::generate(42, YahooFamily::A1, index);
+        let series = tsad_synth::yahoo::generate(42, YahooFamily::A1, index);
         if !triviality::analyze(&series.dataset, &config)
             .unwrap()
             .is_trivial()
@@ -63,9 +70,9 @@ fn hard_a1_series_are_not_trivial() {
 #[test]
 fn density_flaws_reproduce() {
     let criteria = density::DensityCriteria::default();
-    let dense = tsad::synth::nasa::dense_anomaly(42, 0.6);
+    let dense = tsad_synth::nasa::dense_anomaly(42, 0.6);
     assert!(density::analyze(&dense).is_flawed(&criteria));
-    let crowded = tsad::synth::nasa::crowded_anomalies(42, 21);
+    let crowded = tsad_synth::nasa::crowded_anomalies(42, 21);
     let report = density::analyze(&crowded);
     assert_eq!(report.region_count, 21);
     assert!(report.is_flawed(&criteria));
@@ -76,7 +83,7 @@ fn density_flaws_reproduce() {
 #[test]
 fn run_to_failure_bias_reproduces() {
     let datasets: Vec<Dataset> = (1..=67)
-        .map(|i| tsad::synth::yahoo::generate(42, YahooFamily::A1, i).dataset)
+        .map(|i| tsad_synth::yahoo::generate(42, YahooFamily::A1, i).dataset)
         .collect();
     let report = position::analyze(datasets.iter(), 0.1).unwrap();
     assert!(report.is_biased(0.01), "{report:?}");
@@ -95,24 +102,24 @@ fn archive_roundtrip_through_disk() {
     let _ = std::fs::remove_dir_all(&dir);
     std::fs::create_dir_all(&dir).unwrap();
 
-    let entry = tsad::archive::builder::build_entry(
+    let entry = tsad_archive::builder::build_entry(
         11,
-        tsad::archive::builder::Domain::Robotics,
-        tsad::archive::builder::Difficulty::Medium,
+        tsad_archive::builder::Domain::Robotics,
+        tsad_archive::builder::Difficulty::Medium,
     );
-    let path = tsad::archive::io::write_dataset(&dir, Some(1), &entry.dataset).unwrap();
-    let loaded = tsad::archive::io::read_dataset(&path).unwrap();
+    let path = tsad_archive::io::write_dataset(&dir, Some(1), &entry.dataset).unwrap();
+    let loaded = tsad_archive::io::read_dataset(&path).unwrap();
     assert_eq!(loaded.train_len(), entry.dataset.train_len());
     assert_eq!(loaded.labels().regions(), entry.dataset.labels().regions());
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
 /// §3 / Fig. 12 — end-to-end: build the gait dataset, run the discord
-/// detector through the facade, score with the UCR rule.
+/// detector, score with the UCR rule.
 #[test]
 fn gait_discord_end_to_end() {
-    let gait = tsad::synth::gait::park_gait(42, 90, 40);
-    let detector = DiscordDetector::new(tsad::synth::gait::CYCLE_LEN);
+    let gait = tsad_synth::gait::park_gait(42, 90, 40);
+    let detector = DiscordDetector::new(tsad_synth::gait::CYCLE_LEN);
     let predicted =
         most_anomalous_point(&detector, gait.dataset.series(), gait.dataset.train_len()).unwrap();
     assert!(ucr_correct(predicted, gait.dataset.labels()).unwrap());
@@ -124,17 +131,17 @@ fn gait_discord_end_to_end() {
 /// point right of the label — slopless protocols call that half wrong).
 #[test]
 fn trivial_baseline_beats_random_under_tolerant_f1() {
-    let one_liner = tsad::detectors::oneliner::equation(Equation::Eq3, 1, 0.0, 0.0);
+    let one_liner = tsad_detectors::oneliner::equation(Equation::Eq3, 1, 0.0, 0.0);
     let mut oneliner_sum = 0.0;
     let mut random_sum = 0.0;
     let count = 5;
     for index in 1..=count {
-        let dataset = tsad::synth::yahoo::generate(42, YahooFamily::A2, index).dataset;
+        let dataset = tsad_synth::yahoo::generate(42, YahooFamily::A2, index).dataset;
         let score = one_liner.score(dataset.series(), 0).unwrap();
         let (f1, _) =
             best_f1_over_thresholds(&score, dataset.labels(), F1Protocol::Tolerance(3)).unwrap();
         oneliner_sum += f1;
-        let random = tsad::detectors::baselines::RandomDetector::new(index as u64);
+        let random = tsad_detectors::baselines::RandomDetector::new(index as u64);
         let rscore = random.score(dataset.series(), 0).unwrap();
         let (f1_random, _) =
             best_f1_over_thresholds(&rscore, dataset.labels(), F1Protocol::Tolerance(3)).unwrap();
@@ -151,9 +158,9 @@ fn trivial_baseline_beats_random_under_tolerant_f1() {
     let _ = MovingAvgResidual::new(21);
 }
 
-/// The facade prelude exposes a coherent API surface.
+/// The member crates expose a coherent API surface.
 #[test]
-fn prelude_smoke() {
+fn public_api_smoke() {
     let ts = TimeSeries::new("smoke", (0..256).map(|i| (i as f64 * 0.2).sin()).collect()).unwrap();
     let labels = Labels::single(256, Region::new(100, 110).unwrap()).unwrap();
     let d = Dataset::unsupervised(ts, labels).unwrap();

@@ -345,10 +345,10 @@ impl Conn {
                 }
                 HttpRoute::Healthz => {
                     self.body_scratch.clear();
-                    let (status, reason, body): (u16, &str, &[u8]) = if engine.log().healthy() {
+                    let (status, reason, body): (u16, &str, &[u8]) = if engine.healthy() {
                         (200, "OK", b"ok\n")
                     } else {
-                        (503, "Service Unavailable", b"log unavailable\n")
+                        (503, "Service Unavailable", b"engine unavailable\n")
                     };
                     self.body_scratch.extend_from_slice(body);
                     self.http_response(status, reason, "text/plain", keep_alive, false);

@@ -150,22 +150,25 @@ pub struct CheckpointStats {
 /// Runs under the fleet lock (then the WAL lock — same order as the
 /// submit path), so the stored sequence is exactly the number of batches
 /// both the fleet and the log have seen: recovery from this checkpoint
-/// plus the WAL tail is bitwise-equal to full-log replay.
+/// plus the WAL tail is bitwise-equal to full-log replay. Refused with an
+/// error once a panicked batch has poisoned the fleet: its state may be
+/// half-applied and must not be persisted.
 pub fn checkpoint_now<F, D>(engine: &DurableEngine<F, D>) -> std::io::Result<CheckpointStats>
 where
     F: DetectorFactory,
     F::Detector: Sync,
     D: WalDir,
 {
-    engine.with_fleet(|fleet| {
-        let seq = fleet.batches();
-        let payload = fleet.checkpoint().to_bytes();
-        let mut wal = engine.log().lock().unwrap_or_else(|e| e.into_inner());
-        let reclaimed_bytes = wal.store_checkpoint(seq, &payload)?;
-        Ok(CheckpointStats {
-            seq,
-            payload_bytes: payload.len(),
-            reclaimed_bytes,
-        })
+    let fleet = engine
+        .lock_fleet()
+        .ok_or_else(|| std::io::Error::other("fleet poisoned by a panicked batch"))?;
+    let seq = fleet.batches();
+    let payload = fleet.checkpoint().to_bytes();
+    let mut wal = engine.log().lock().unwrap_or_else(|e| e.into_inner());
+    let reclaimed_bytes = wal.store_checkpoint(seq, &payload)?;
+    Ok(CheckpointStats {
+        seq,
+        payload_bytes: payload.len(),
+        reclaimed_bytes,
     })
 }

@@ -17,7 +17,7 @@
 //! even when observability is off.
 
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::Mutex;
+use std::sync::{Mutex, MutexGuard};
 use std::time::Instant;
 
 use tsad_fleet::{BatchOutput, Fleet, SeriesId};
@@ -58,7 +58,8 @@ pub enum SubmitError {
     Busy,
     /// The batch exceeds `max_batch_points`.
     TooLarge,
-    /// The durability hook ([`BatchLog::append`]) failed. The batch was
+    /// The durability hook ([`BatchLog::append`]) failed, or an earlier
+    /// batch panicked inside the fleet and poisoned it. The batch was
     /// **not** applied: a batch the log did not accept must never move
     /// detector state, or replay-after-crash would diverge from what
     /// clients were told.
@@ -182,6 +183,22 @@ impl<F: DetectorFactory, L: BatchLog> Engine<F, L> {
         &self.log
     }
 
+    /// The fleet lock for the paths that change or persist fleet state;
+    /// `None` once a panic inside `push_batch` poisoned it. That batch's
+    /// WAL entry is already appended while the fleet holds it only in
+    /// part, so serving on would ACK scores, and a checkpoint persist
+    /// state, that no replay reproduces.
+    pub(crate) fn lock_fleet(&self) -> Option<MutexGuard<'_, Fleet<F>>> {
+        self.fleet.lock().ok()
+    }
+
+    /// Whether the engine can still apply batches: the fleet is not
+    /// poisoned and the log accepts appends. `GET /healthz` answers 503
+    /// while it cannot, so a load balancer drains the node.
+    pub fn healthy(&self) -> bool {
+        !self.fleet.is_poisoned() && self.log.healthy()
+    }
+
     /// The engine's configuration.
     pub fn config(&self) -> &EngineConfig {
         &self.cfg
@@ -233,7 +250,10 @@ impl<F: DetectorFactory, L: BatchLog> Engine<F, L> {
 
         let t_push = obs.then(Instant::now);
         {
-            let mut fleet = self.fleet.lock().unwrap_or_else(|e| e.into_inner());
+            let Some(mut fleet) = self.lock_fleet() else {
+                self.inflight.fetch_sub(n, Ordering::AcqRel);
+                return Err(SubmitError::Internal);
+            };
             // Log-then-apply, both under the fleet lock: the WAL sequence
             // and the fleet's batch counter advance in lockstep, so a
             // checkpoint taken under the same lock names a WAL position.

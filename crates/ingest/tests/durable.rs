@@ -6,15 +6,18 @@
 //! glue above it — [`recover_engine`] / [`checkpoint_now`] round-trips,
 //! the [`SubmitError::Internal`] wire mapping, and the registry
 //! fingerprint refusal (a log recorded under one catalog detector id
-//! must never replay into a fleet spawned from a different id), and the
-//! served log's health and idle group-commit deadline.
+//! must never replay into a fleet spawned from a different id), the
+//! served log's health and idle group-commit deadline, and the engine
+//! stopping after a batch panics inside the fleet.
 
 use std::io::{self, Read, Write};
 use std::net::TcpStream;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
+use tsad_core::ckpt::{CkptReader, CkptWriter};
 use tsad_detectors::registry::Params;
 use tsad_fleet::{BatchOutput, FleetConfig, SeriesId};
 use tsad_ingest::engine::{BatchLog, SubmitTiming};
@@ -23,7 +26,8 @@ use tsad_ingest::{
     ServerConfig, SubmitError,
 };
 use tsad_stream::{
-    DetectorFactory, FnFactory, RegistryFactory, StreamHints, StreamingGlobalZScore,
+    DetectorFactory, FnFactory, RegistryFactory, StreamHints, StreamingDetector,
+    StreamingGlobalZScore,
 };
 use tsad_wal::{FsyncPolicy, MemDir, MemFile, Wal, WalConfig, WalDir, WalError, WalFile};
 
@@ -393,7 +397,12 @@ fn faulty_engine(dir: &Faulty, policy: FsyncPolicy) -> DurableEngine<ZFactory, F
     )
 }
 
-fn healthz<L: BatchLog>(engine: &Engine<ZFactory, L>) -> String {
+fn healthz<F, L>(engine: &Engine<F, L>) -> String
+where
+    F: DetectorFactory,
+    F::Detector: Sync,
+    L: BatchLog,
+{
     let mut conn = Conn::new(ConnConfig::default());
     conn.feed(b"GET /healthz HTTP/1.1\r\n\r\n", engine);
     String::from_utf8_lossy(conn.output()).into_owned()
@@ -474,4 +483,98 @@ fn an_idle_server_syncs_a_pending_group_commit_at_its_deadline() {
     }
     assert!(!engine.log().lock().unwrap().is_poisoned());
     server.stop().expect("clean shutdown");
+}
+
+/// The value on which [`PanicsOnSentinel`] panics.
+const SENTINEL: f64 = 666.0;
+
+/// A z-score detector with a bug: it panics on [`SENTINEL`], so a batch
+/// carrying it dies inside `push_batch` after its WAL entry is appended.
+struct PanicsOnSentinel(StreamingGlobalZScore);
+
+impl StreamingDetector for PanicsOnSentinel {
+    fn name(&self) -> String {
+        self.0.name()
+    }
+    fn push(&mut self, x: f64) -> Option<f64> {
+        assert!(x != SENTINEL, "detector bug on the sentinel value");
+        self.0.push(x)
+    }
+    fn finish(&mut self) -> Vec<f64> {
+        self.0.finish()
+    }
+    fn reset(&mut self) {
+        self.0.reset()
+    }
+    fn score_offset(&self) -> usize {
+        self.0.score_offset()
+    }
+    fn lag(&self) -> usize {
+        self.0.lag()
+    }
+    fn memory_bound(&self) -> usize {
+        self.0.memory_bound()
+    }
+    fn save_state(&self, w: &mut CkptWriter) {
+        self.0.save_state(w)
+    }
+    fn load_state(&mut self, r: &mut CkptReader<'_>) -> tsad_core::Result<()> {
+        self.0.load_state(r)
+    }
+}
+
+#[test]
+fn a_batch_that_panics_in_the_fleet_stops_the_engine() {
+    fn spawn(id: u64) -> PanicsOnSentinel {
+        PanicsOnSentinel(spawn_z(id))
+    }
+    let rec = recover_engine(
+        MemDir::new(),
+        FnFactory(spawn as fn(u64) -> PanicsOnSentinel),
+        wal_cfg(),
+        fleet_cfg(),
+        EngineConfig::default(),
+    )
+    .expect("fresh log");
+    let engine = rec.engine;
+    let mut out = BatchOutput::new();
+    let mut t = SubmitTiming::default();
+    engine
+        .submit(&batch(0), &mut out, &mut t)
+        .expect("clean batch");
+    checkpoint_now(&engine).expect("checkpoint of a clean fleet");
+    let ok = healthz(&engine);
+    assert!(ok.starts_with("HTTP/1.1 200 OK"), "clean fleet: {ok}");
+
+    let bad = [
+        (SeriesId(1), 0.5),
+        (SeriesId(2), SENTINEL),
+        (SeriesId(3), 0.5),
+    ];
+    let panicked = catch_unwind(AssertUnwindSafe(|| {
+        let _ = engine.submit(&bad, &mut out, &mut t);
+    }));
+    assert!(panicked.is_err(), "the sentinel panics inside push_batch");
+    let logged = engine.log().lock().unwrap().next_seq();
+
+    // the fleet may hold the panicked batch in part: refuse to serve on
+    // it or persist it, and drain the node
+    assert_eq!(
+        engine.submit(&batch(1), &mut out, &mut t),
+        Err(SubmitError::Internal)
+    );
+    assert_eq!(
+        engine.log().lock().unwrap().next_seq(),
+        logged,
+        "a refused batch must not be logged"
+    );
+    assert!(
+        checkpoint_now(&engine).is_err(),
+        "a poisoned fleet must not be checkpointed"
+    );
+    let down = healthz(&engine);
+    assert!(
+        down.starts_with("HTTP/1.1 503 Service Unavailable"),
+        "poisoned fleet: {down}"
+    );
 }
