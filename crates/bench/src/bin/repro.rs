@@ -218,7 +218,11 @@ fn run_one(name: &str, opts: &Options) -> Result<(), Box<dyn std::error::Error>>
             triviality_all::render(&triviality_all::run(seed, 38)?)
         ),
         "audit" => print!("{}", audit_exp::render(&audit_exp::run(seed, 10, 21)?)),
-        "stream" => print!("{}", stream::render(&stream::run(seed)?)),
+        "stream" => {
+            let exp = stream::run(seed)?;
+            print!("{}", stream::render(&exp));
+            eprint!("{}", stream::render_timing(&exp));
+        }
         "faults" => print!("{}", faults::render(&faults::run(seed)?)),
         "faults-json" => {
             let exp = faults::run(seed)?;

@@ -6,14 +6,16 @@
 //! 1. *equivalence* — machine-checked batch ↔ stream agreement: bitwise
 //!    for the z-score / CUSUM / moving-average-residual / one-liner ports,
 //!    1e-6 tolerance for the horizon-bounded left discord.
-//! 2. *replay* — each streaming port replayed point by point: throughput,
-//!    per-push latency, memory bound, and the detection-delay metric
-//!    (first alarm − anomaly onset) against the family's labels.
+//! 2. *replay* — each streaming port replayed point by point: memory
+//!    bound and the detection-delay metric (first alarm − anomaly onset)
+//!    against the family's labels.
 //! 3. *chunking* — one detector replayed at chunk sizes {1, 64, 4096};
 //!    alarms and delays are identical, only the timing moves.
 //!
-//! Scores, alarms, and delays are deterministic given the seed; the
-//! throughput/latency columns are wall-clock measurements.
+//! [`render`] prints only what the seed determines, so its text is the
+//! same on every run and at every thread count. The wall-clock columns
+//! (throughput, per-push latency, worst chunk) go to a separate table,
+//! [`render_timing`], which `repro stream` prints to stderr.
 
 use tsad_core::{Labels, Result, TimeSeries};
 use tsad_detectors::baselines::{GlobalZScore, MovingAvgResidual};
@@ -99,7 +101,7 @@ fn panel(n: usize) -> Result<Vec<(Box<dyn StreamingDetector>, f64)>> {
 }
 
 /// Runs the experiment. Deterministic given `seed` except for the
-/// wall-clock columns.
+/// wall-clock measurements.
 pub fn run(seed: u64) -> Result<StreamExperiment> {
     let data = families(seed);
 
@@ -218,7 +220,8 @@ fn delay_cells(row: &ReplayRow) -> [String; 3] {
     ]
 }
 
-/// Renders the three tables.
+/// Renders the three tables, without the wall-clock measurements
+/// ([`render_timing`] has those).
 pub fn render(e: &StreamExperiment) -> String {
     let mut out = String::from("stream — bounded-memory streaming engine:\n\n");
 
@@ -257,8 +260,6 @@ pub fn render(e: &StreamExperiment) -> String {
         "detector",
         "thr",
         "points",
-        "Mpts/s",
-        "ns/push",
         "mem (f64s)",
         "detected",
         "mean delay",
@@ -272,8 +273,6 @@ pub fn render(e: &StreamExperiment) -> String {
             o.detector.clone(),
             format!("{:.1}", row.threshold),
             o.points.to_string(),
-            format!("{:.1}", o.points_per_sec / 1e6),
-            format!("{:.0}", o.mean_push_ns),
             o.memory_bound.to_string(),
             det,
             mean,
@@ -283,30 +282,42 @@ pub fn render(e: &StreamExperiment) -> String {
     out.push_str(&t.render());
 
     out.push_str("\nchunking invariance (global z-score on nyc-taxi):\n");
+    let mut t = TextTable::new(vec!["chunk", "detected", "mean delay", "false alarms"]);
+    for row in &e.chunking {
+        let o = &row.outcome;
+        let [det, mean, fa] = delay_cells(row);
+        t.row(vec![o.chunk_size.to_string(), det, mean, fa]);
+    }
+    out.push_str(&t.render());
+    out.push_str("alarms and delays are identical at every chunk size; only timing moves.\n");
+    out
+}
+
+/// Renders the wall-clock measurements of every replay and chunking run:
+/// throughput, mean per-push latency and the worst chunk's per-point
+/// latency. They change from run to run.
+pub fn render_timing(e: &StreamExperiment) -> String {
+    let mut out = String::from("stream — replay timing (wall clock):\n");
     let mut t = TextTable::new(vec![
+        "dataset",
+        "detector",
         "chunk",
         "Mpts/s",
         "ns/push",
         "worst chunk ns/pt",
-        "detected",
-        "mean delay",
-        "false alarms",
     ]);
-    for row in &e.chunking {
+    for row in e.replays.iter().chain(&e.chunking) {
         let o = &row.outcome;
-        let [det, mean, fa] = delay_cells(row);
         t.row(vec![
+            row.dataset.clone(),
+            o.detector.clone(),
             o.chunk_size.to_string(),
             format!("{:.1}", o.points_per_sec / 1e6),
             format!("{:.0}", o.mean_push_ns),
             format!("{:.0}", o.max_chunk_ns_per_point),
-            det,
-            mean,
-            fa,
         ]);
     }
     out.push_str(&t.render());
-    out.push_str("alarms and delays are identical at every chunk size; only timing moves.\n");
     out
 }
 
@@ -339,5 +350,15 @@ mod tests {
         assert!(text.contains("PASS"));
         assert!(!text.contains("FAIL"));
         assert!(text.contains("chunking invariance"));
+        let timing = render_timing(&e1);
+        assert!(timing.contains("Mpts/s") && timing.contains("worst chunk ns/pt"));
+    }
+
+    #[test]
+    fn rendered_tables_do_not_depend_on_the_thread_count() {
+        let one = tsad_parallel::with_threads(1, || render(&run(42).unwrap()));
+        let four = tsad_parallel::with_threads(4, || render(&run(42).unwrap()));
+        assert_eq!(one, four);
+        assert!(!one.contains("Mpts/s"), "timing stays out of the tables");
     }
 }

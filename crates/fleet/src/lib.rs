@@ -55,6 +55,7 @@
 //! ```
 
 pub mod checkpoint;
+mod index;
 mod shard;
 
 pub use checkpoint::{FleetCheckpoint, FLEET_VERSION};

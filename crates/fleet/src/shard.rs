@@ -11,12 +11,17 @@
 //! function of the ingest history and therefore deterministic at every
 //! shard and thread count.
 //!
+//! The id → slot index is a [`SlotIndex`]: an open-addressing table
+//! whose home cells can be prefetched, keyed by randomly keyed SipHash.
+//!
 //! A batch runs in two passes, so the cache misses of many series
 //! overlap instead of forming one dependent chain per point:
 //!
-//! 1. **Resolve.** Every inbox point is mapped to its slot as of the
-//!    batch start, in a reused slot list; a series that is not resident
-//!    is marked [`NIL`].
+//! 1. **Resolve.** Every inbox id is hashed first, into a reused hash
+//!    list. Then every point is mapped to its slot as of the batch start,
+//!    in a reused slot list, while the index cell of the point
+//!    [`INDEX_AHEAD`] places later is prefetched; a series that is not
+//!    resident is marked [`NIL`].
 //! 2. **Apply.** Points run in batch order exactly as a one-pass loop
 //!    would: quarantine, spawn (evicting for budget), `push`, recency
 //!    stamp, LRU touch. So scores, eviction order and checkpoint bytes
@@ -30,25 +35,29 @@
 //! batch can free the slot and hand it to another series. The apply pass
 //! uses a guess only when that slot still holds a detector for the same
 //! id. Otherwise, and for every miss (an earlier point of the batch may
-//! have spawned the series), it looks the id up again.
+//! have spawned the series), it looks the id up again, and on a spawn
+//! inserts it, with the hash from the resolve pass.
 //!
-//! All per-batch working memory (`inbox`, resolved slots, `scores`,
+//! All per-batch working memory (`inbox`, hashes, resolved slots, `scores`,
 //! quarantine and eviction lists) lives on the shard and is reused across
 //! batches: after the warm-up batches have grown them to their high-water
 //! mark, processing a batch performs no heap allocation.
-
-use std::collections::HashMap;
 
 use tsad_core::ckpt::{corrupt, CkptReader, CkptWriter};
 use tsad_core::error::Result;
 use tsad_core::prefetch::prefetch;
 use tsad_stream::{DetectorFactory, StreamingDetector};
 
+use crate::index::SlotIndex;
 use crate::{BatchNanPolicy, SeriesId};
 
 /// Null index for the intrusive LRU links and the resolve pass's mark
 /// for a series that is not resident. Never a slab slot.
 const NIL: u32 = u32::MAX;
+
+/// How many points ahead of its probe in the resolve pass a point's index
+/// cell is prefetched.
+const INDEX_AHEAD: usize = 8;
 
 /// How many points ahead of the apply pass every line of a slab entry is
 /// prefetched.
@@ -113,7 +122,7 @@ pub(crate) struct ShardTally {
 pub(crate) struct Shard<D> {
     entries: Vec<Entry<D>>,
     free: Vec<u32>,
-    index: HashMap<u64, u32>,
+    index: SlotIndex,
     lru_head: u32,
     lru_tail: u32,
     bytes_in_use: usize,
@@ -124,6 +133,8 @@ pub(crate) struct Shard<D> {
     pub(crate) quarantined: Vec<(usize, u64)>,
     pub(crate) evicted: Vec<u64>,
     pub(crate) tally: ShardTally,
+    /// Index hash per inbox point, from the resolve pass.
+    hashes: Vec<u64>,
     /// Slot (or [`NIL`]) per inbox point, from the resolve pass.
     resolved: Vec<u32>,
 }
@@ -133,7 +144,7 @@ impl<D: StreamingDetector> Shard<D> {
         Self {
             entries: Vec::new(),
             free: Vec::new(),
-            index: HashMap::new(),
+            index: SlotIndex::new(),
             lru_head: NIL,
             lru_tail: NIL,
             bytes_in_use: 0,
@@ -143,6 +154,7 @@ impl<D: StreamingDetector> Shard<D> {
             quarantined: Vec::new(),
             evicted: Vec::new(),
             tally: ShardTally::default(),
+            hashes: Vec::new(),
             resolved: Vec::new(),
         }
     }
@@ -154,7 +166,7 @@ impl<D: StreamingDetector> Shard<D> {
 
     /// True when the series currently has a resident detector.
     pub(crate) fn contains(&self, id: u64) -> bool {
-        self.index.contains_key(&id)
+        self.index.get(self.index.hash(id), id).is_some()
     }
 
     /// Accounted bytes across resident series.
@@ -224,17 +236,18 @@ impl<D: StreamingDetector> Shard<D> {
         let entry = self.entry_mut(head);
         entry.det = None;
         let (id, bytes) = (entry.id, entry.bytes);
-        self.index.remove(&id);
+        self.index.remove(self.index.hash(id), id);
         self.bytes_in_use -= bytes;
         self.free.push(head);
         Some(id)
     }
 
-    /// Inserts a freshly-spawned detector, evicting LRU entries first when
-    /// the budget requires it. The inserted series itself is always
-    /// admitted, even when it alone exceeds the budget — a shard cannot
-    /// refuse the series it was just asked to host.
-    fn insert(&mut self, id: u64, det: D, last_touch: u64) -> u32 {
+    /// Inserts a freshly-spawned detector for `id` (whose index hash is
+    /// `hash`), evicting LRU entries first when the budget requires it.
+    /// The inserted series itself is always admitted, even when it alone
+    /// exceeds the budget — a shard cannot refuse the series it was just
+    /// asked to host.
+    fn insert(&mut self, id: u64, hash: u64, det: D, last_touch: u64) -> u32 {
         let bytes = entry_bytes(&det);
         while self.lru_head != NIL && self.bytes_in_use.saturating_add(bytes) > self.budget {
             if let Some(evicted) = self.evict_head() {
@@ -263,7 +276,7 @@ impl<D: StreamingDetector> Shard<D> {
                 s
             }
         };
-        self.index.insert(id, slot);
+        self.index.insert(hash, id, slot);
         self.bytes_in_use += bytes;
         self.lru_push_tail(slot);
         slot
@@ -299,11 +312,11 @@ impl<D: StreamingDetector> Shard<D> {
             let slot = match self.resolved[i] {
                 guess if self.holds(guess, id) => guess,
                 // a miss at the batch start, or a guess gone stale
-                _ => match self.index.get(&id) {
-                    Some(&s) => s,
+                _ => match self.index.get(self.hashes[i], id) {
+                    Some(s) => s,
                     None => {
                         self.tally.spawned += 1;
-                        self.insert(id, factory.spawn(id), batch_no)
+                        self.insert(id, self.hashes[i], factory.spawn(id), batch_no)
                     }
                 },
             };
@@ -323,16 +336,25 @@ impl<D: StreamingDetector> Shard<D> {
         self.inbox.clear();
     }
 
-    /// The resolve pass: fills `resolved` with each inbox point's slot as
-    /// of the batch start, [`NIL`] for a series that is not resident.
+    /// The resolve pass: fills `hashes` with each inbox point's index
+    /// hash, then `resolved` with its slot as of the batch start, [`NIL`]
+    /// for a series that is not resident.
     fn resolve(&mut self) {
         let index = &self.index;
+        self.hashes.clear();
+        self.hashes
+            .extend(self.inbox.iter().map(|p| index.hash(p.id)));
+        for &h in self.hashes.iter().take(INDEX_AHEAD) {
+            index.prefetch(h);
+        }
         self.resolved.clear();
-        self.resolved.extend(
-            self.inbox
-                .iter()
-                .map(|p| index.get(&p.id).copied().unwrap_or(NIL)),
-        );
+        for (i, p) in self.inbox.iter().enumerate() {
+            if let Some(&ahead) = self.hashes.get(i + INDEX_AHEAD) {
+                index.prefetch(ahead);
+            }
+            self.resolved
+                .push(index.get(self.hashes[i], p.id).unwrap_or(NIL));
+        }
     }
 
     /// Prefetches every cache line of the slab entry inbox point `i`
@@ -466,7 +488,8 @@ impl<D: StreamingDetector> Shard<D> {
                     "series {id} does not route to shard {shard_index}"
                 )));
             }
-            if self.index.contains_key(&id) {
+            let hash = self.index.hash(id);
+            if self.index.get(hash, id).is_some() {
                 return Err(corrupt(format!("series {id} appears twice in segment")));
             }
             let name = r.string()?;
@@ -480,7 +503,7 @@ impl<D: StreamingDetector> Shard<D> {
                 )));
             }
             det.load_state(r)?;
-            self.insert(id, det, last_touch);
+            self.insert(id, hash, det, last_touch);
         }
         Ok(())
     }

@@ -46,6 +46,14 @@
 //! the placeholder backlog drains (one per push) are retained until
 //! emitted, `O(burst)` at worst. This is inherent to in-order
 //! one-score-per-push emission, not to the implementation.
+//!
+//! Each queue keeps its oldest element inline and spills younger ones to
+//! the heap. On finite input the steady state is one run of awaiting
+//! slots plus at most one resolved output, so it stays inline: a push
+//! touches no heap memory of the wrapper, and a new wrapper allocates
+//! nothing for its queues. An inner score never waits: its slot was
+//! queued before the push that emits it, so `push` hands it straight to
+//! that slot.
 
 use std::collections::VecDeque;
 use std::fmt;
@@ -136,6 +144,64 @@ enum Out {
     Score(f64),
 }
 
+/// A FIFO queue whose oldest element is stored inline; younger elements
+/// spill to a `VecDeque`. A queue that never holds two elements at once
+/// never allocates.
+#[derive(Debug, Clone)]
+struct Fifo<T> {
+    /// The oldest element; `None` only when the whole queue is empty.
+    front: Option<T>,
+    spill: VecDeque<T>,
+}
+
+impl<T> Fifo<T> {
+    fn new() -> Self {
+        Self {
+            front: None,
+            spill: VecDeque::new(),
+        }
+    }
+
+    fn len(&self) -> usize {
+        usize::from(self.front.is_some()) + self.spill.len()
+    }
+
+    fn is_empty(&self) -> bool {
+        self.front.is_none()
+    }
+
+    fn front_mut(&mut self) -> Option<&mut T> {
+        self.front.as_mut()
+    }
+
+    fn back_mut(&mut self) -> Option<&mut T> {
+        self.spill.back_mut().or(self.front.as_mut())
+    }
+
+    fn push_back(&mut self, v: T) {
+        if self.front.is_none() {
+            self.front = Some(v);
+        } else {
+            self.spill.push_back(v);
+        }
+    }
+
+    fn pop_front(&mut self) -> Option<T> {
+        let v = self.front.take();
+        self.front = self.spill.pop_front();
+        v
+    }
+
+    fn iter(&self) -> impl Iterator<Item = &T> {
+        self.front.iter().chain(&self.spill)
+    }
+
+    fn clear(&mut self) {
+        self.front = None;
+        self.spill.clear();
+    }
+}
+
 /// A [`StreamingDetector`] hardened against non-finite input by an explicit
 /// [`NanPolicy`]. See the module docs for the policy semantics.
 #[derive(Debug, Clone)]
@@ -148,11 +214,9 @@ pub struct Sanitized<D> {
     kept: usize,
     /// Pending original positions awaiting emission, oldest first,
     /// run-length encoded.
-    slots: VecDeque<(Slot, usize)>,
-    /// Inner scores not yet matched to an `Await` slot.
-    inner_ready: VecDeque<f64>,
+    slots: Fifo<(Slot, usize)>,
     /// Fully resolved output not yet returned from `push`.
-    out_ready: VecDeque<Out>,
+    out_ready: Fifo<Out>,
     /// Local count of quarantined points (also mirrored to the obs
     /// counter), so a checkpoint can restore it.
     quarantined: u64,
@@ -166,9 +230,8 @@ impl<D: StreamingDetector> Sanitized<D> {
             policy,
             last_finite: None,
             kept: 0,
-            slots: VecDeque::new(),
-            inner_ready: VecDeque::new(),
-            out_ready: VecDeque::new(),
+            slots: Fifo::new(),
+            out_ready: Fifo::new(),
             quarantined: 0,
         }
     }
@@ -210,7 +273,9 @@ impl<D: StreamingDetector> Sanitized<D> {
         }
     }
 
-    fn feed(&mut self, v: f64) {
+    /// Queues the slot for a kept sample, then feeds it to the inner
+    /// detector and returns the inner score it emits, if any.
+    fn feed(&mut self, v: f64) -> Option<f64> {
         self.kept += 1;
         let slot = if self.kept <= self.inner.score_offset() {
             Slot::Unscored
@@ -218,40 +283,30 @@ impl<D: StreamingDetector> Sanitized<D> {
             Slot::Await
         };
         self.push_slot(slot);
-        if let Some(s) = self.inner.push(v) {
-            self.inner_ready.push_back(s);
-        }
+        self.inner.push(v)
     }
 
-    /// Resolves leading slot runs into `out_ready` until one blocks on a
-    /// not-yet-emitted inner score.
-    fn drain_slots(&mut self) {
-        while let Some(&(slot, count)) = self.slots.front() {
-            match slot {
+    /// Resolves leading slot runs into `out_ready`, matching `Await` slots
+    /// to `scores` (inner scores in emission order), until a run blocks on
+    /// a score the inner detector has not emitted yet.
+    fn drain_slots(&mut self, scores: &mut impl Iterator<Item = f64>) {
+        while let Some((slot, count)) = self.slots.front_mut() {
+            match *slot {
                 Slot::Placeholder => {
+                    let n = *count;
                     self.slots.pop_front();
-                    self.push_zeros(count);
+                    self.push_zeros(n);
                 }
                 Slot::Unscored => {
                     self.slots.pop_front();
                 }
                 Slot::Await => {
-                    let mut left = count;
-                    while left > 0 {
-                        match self.inner_ready.pop_front() {
-                            Some(s) => {
-                                self.out_ready.push_back(Out::Score(s));
-                                left -= 1;
-                            }
-                            None => break,
-                        }
+                    let Some(s) = scores.next() else { break };
+                    *count -= 1;
+                    if *count == 0 {
+                        self.slots.pop_front();
                     }
-                    self.slots.pop_front();
-                    if left > 0 {
-                        // put the unresolved remainder back and stop
-                        self.slots.push_front((Slot::Await, left));
-                        break;
-                    }
+                    self.out_ready.push_back(Out::Score(s));
                 }
             }
         }
@@ -282,34 +337,39 @@ impl<D: StreamingDetector> StreamingDetector for Sanitized<D> {
     }
 
     fn push(&mut self, x: f64) -> Option<f64> {
-        if x.is_finite() {
+        let score = if x.is_finite() {
             self.last_finite = Some(x);
-            self.feed(x);
+            self.feed(x)
         } else {
             self.quarantined += 1;
             SANITIZE_QUARANTINED.add(1);
             match self.policy {
                 NanPolicy::Propagate => self.feed(x),
-                NanPolicy::Skip => self.push_slot(Slot::Placeholder),
+                NanPolicy::Skip => {
+                    self.push_slot(Slot::Placeholder);
+                    None
+                }
                 NanPolicy::ImputeLast => {
                     let v = self.last_finite.unwrap_or(0.0);
-                    self.feed(v);
+                    self.feed(v)
                 }
             }
-        }
-        self.drain_slots();
+        };
+        // the inner contract (at most one score per push, kept − offset in
+        // all) means the score's Await slot is already queued, so it
+        // resolves here and no inner score outlives the push
+        self.drain_slots(&mut score.into_iter());
         self.pop_out()
     }
 
     fn finish(&mut self) -> Vec<f64> {
-        self.inner_ready.extend(self.inner.finish());
-        self.drain_slots();
+        let mut scores = self.inner.finish().into_iter();
+        self.drain_slots(&mut scores);
         // invariant: the inner contract (kept − offset scores) resolves
         // every Await slot; only Placeholder/Unscored runs could remain,
         // and drain_slots never blocks on those
         debug_assert!(self.slots.is_empty(), "unresolved slots at finish");
         self.slots.clear();
-        self.inner_ready.clear();
         let mut out = Vec::new();
         while let Some(v) = self.pop_out() {
             out.push(v);
@@ -322,7 +382,6 @@ impl<D: StreamingDetector> StreamingDetector for Sanitized<D> {
         self.last_finite = None;
         self.kept = 0;
         self.slots.clear();
-        self.inner_ready.clear();
         self.out_ready.clear();
         self.quarantined = 0;
     }
@@ -347,9 +406,10 @@ impl<D: StreamingDetector> StreamingDetector for Sanitized<D> {
 
     fn prefetch(&self) {
         self.inner.prefetch();
-        prefetch_deque(&self.slots);
-        prefetch_deque(&self.inner_ready);
-        prefetch_deque(&self.out_ready);
+        // the queues' inline fronts sit in `self`, which the caller has
+        // in cache; only spilled elements live elsewhere
+        prefetch_deque(&self.slots.spill);
+        prefetch_deque(&self.out_ready.spill);
     }
 
     fn save_state(&self, w: &mut CkptWriter) {
@@ -358,13 +418,15 @@ impl<D: StreamingDetector> StreamingDetector for Sanitized<D> {
         w.opt_f64(self.last_finite);
         w.usize(self.kept);
         w.usize(self.slots.len());
-        for &(s, count) in &self.slots {
+        for &(s, count) in self.slots.iter() {
             w.u8(s.tag());
             w.usize(count);
         }
-        w.f64_seq(self.inner_ready.len(), self.inner_ready.iter().copied());
+        // inner scores waiting for a slot: always none (see `push`), but
+        // written so blobs keep the TSCK v1 layout
+        w.f64_seq(0, std::iter::empty());
         w.usize(self.out_ready.len());
-        for &o in &self.out_ready {
+        for &o in self.out_ready.iter() {
             match o {
                 Out::Zeros(n) => {
                     w.u8(0);
@@ -406,7 +468,14 @@ impl<D: StreamingDetector> StreamingDetector for Sanitized<D> {
             }
             self.slots.push_back((slot, count));
         }
-        self.inner_ready = r.f64_vec()?.into();
+        let waiting = r.f64_vec()?;
+        if !waiting.is_empty() {
+            return Err(corrupt(format!(
+                "{} inner scores waiting for a slot is unreachable: every push \
+                 hands its score to an already queued slot",
+                waiting.len()
+            )));
+        }
         let n_out = r.usize()?;
         if n_out > r.remaining() {
             return Err(corrupt(format!(
@@ -588,6 +657,19 @@ mod tests {
             s.slots.len(),
             s.out_ready.len()
         );
+    }
+
+    #[test]
+    fn finite_input_keeps_the_queues_inline() {
+        for policy in [NanPolicy::Propagate, NanPolicy::Skip, NanPolicy::ImputeLast] {
+            let mut s = Sanitized::new(StreamingGlobalZScore::new(40).unwrap(), policy);
+            for i in 0..2_000 {
+                s.push((i as f64 * 0.07).sin());
+                assert!(s.slots.len() <= 1 && s.out_ready.is_empty(), "{policy}");
+            }
+            assert_eq!(s.slots.spill.capacity(), 0, "{policy}");
+            assert_eq!(s.out_ready.spill.capacity(), 0, "{policy}");
+        }
     }
 
     #[test]

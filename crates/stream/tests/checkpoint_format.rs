@@ -7,14 +7,16 @@
 //! exact bytes of `checkpoint(det)` for z-score, CUSUM and SPOT at three
 //! points of one fixed 300-point stream: mid-calibration, the push that
 //! completes calibration, and steady state. A deliberate layout change must
-//! bump `CKPT_VERSION` and re-pin them.
+//! bump `CKPT_VERSION` and re-pin them. The same holds for the
+//! [`Sanitized`] wrapper under each [`NanPolicy`], on a stream with
+//! non-finite bursts before, across and after calibration.
 
 use tsad_core::ckpt::{digest64, CkptWriter};
 use tsad_detectors::cusum::Cusum;
 use tsad_detectors::spot::Spot;
 use tsad_stream::{
-    checkpoint, restore, StreamingCusum, StreamingDetector, StreamingGlobalZScore, StreamingSpot,
-    CKPT_MAGIC, CKPT_VERSION,
+    checkpoint, restore, NanPolicy, Sanitized, StreamingCusum, StreamingDetector,
+    StreamingGlobalZScore, StreamingSpot, CKPT_MAGIC, CKPT_VERSION,
 };
 
 const TRAIN: usize = 100;
@@ -135,4 +137,126 @@ fn restore_refuses_unreachable_states() {
     assert_refuses_unreachable_states(&mut StreamingGlobalZScore::new(TRAIN).unwrap());
     assert_refuses_unreachable_states(&mut StreamingCusum::new(Cusum::default(), TRAIN).unwrap());
     assert_refuses_unreachable_states(&mut StreamingSpot::new(Spot::default(), TRAIN).unwrap());
+}
+
+/// [`stream`] with non-finite bursts: NaN before calibration, ±∞ across
+/// the push that calibrates an unwrapped detector, and a mixed burst
+/// after it.
+fn dirty_stream() -> Vec<f64> {
+    let mut xs = stream();
+    for (i, x) in xs.iter_mut().enumerate() {
+        match i {
+            10..=14 => *x = f64::NAN,
+            96..=98 => *x = f64::INFINITY,
+            99..=101 => *x = f64::NEG_INFINITY,
+            200..=211 => {
+                *x = [f64::NAN, f64::INFINITY, f64::NEG_INFINITY][i % 3];
+            }
+            _ => {}
+        }
+    }
+    xs
+}
+
+/// Checkpoint digests of `det` fed [`dirty_stream`], taken inside each
+/// burst, around calibration and at the end.
+fn sanitized_digests(det: &mut dyn StreamingDetector) -> [u64; 7] {
+    let xs = dirty_stream();
+    let mut out = [0u64; 7];
+    let mut pushed = 0;
+    for (slot, upto) in [12, 50, 100, TRAIN + 8, 206, 240, xs.len()]
+        .into_iter()
+        .enumerate()
+    {
+        for &v in &xs[pushed..upto] {
+            det.push(v);
+        }
+        pushed = upto;
+        out[slot] = digest64(&checkpoint(det));
+    }
+    out
+}
+
+fn sanitized_cusum(policy: NanPolicy) -> Sanitized<StreamingCusum> {
+    Sanitized::new(
+        StreamingCusum::new(Cusum::default(), TRAIN).unwrap(),
+        policy,
+    )
+}
+
+#[test]
+fn sanitized_checkpoint_bytes_are_pinned() {
+    assert_eq!(CKPT_VERSION, 1, "a layout change must bump the version");
+    for (policy, want) in [
+        (
+            NanPolicy::Propagate,
+            [
+                0xbf10704a0cae5701,
+                0x1fa93ee69f45b9f1,
+                0x993a5a276e8c340e,
+                0xb6107088689308e0,
+                0x64ca4710fd68b66d,
+                0xdcd5c84e212e003b,
+                0x4904a42d7df00dac,
+            ],
+        ),
+        (
+            NanPolicy::Skip,
+            [
+                0x81a8c570f0feed9f,
+                0x06832aa176f626b6,
+                0x2361abec4fa0a9b1,
+                0xfbdef88cb5f4c933,
+                0x30d519b551492ab0,
+                0xf549f0e526de3a04,
+                0x7b66b538e4ef75cf,
+            ],
+        ),
+        (
+            NanPolicy::ImputeLast,
+            [
+                0x2ff76cc9598e1f13,
+                0x214aef51407a18da,
+                0x34da6aabaa70a8e6,
+                0x9b6536ecc61bcf35,
+                0xc6673813cd4da978,
+                0xc132cf675d7d3692,
+                0xf889112e6dc6a0f3,
+            ],
+        ),
+    ] {
+        let got = sanitized_digests(&mut sanitized_cusum(policy));
+        assert_eq!(got, want, "{policy}: got {got:#018x?}");
+    }
+}
+
+/// A TSCK v1 blob for a fresh `Sanitized` under `Skip` whose inner-score
+/// queue holds `inner_ready`.
+fn fresh_sanitized_blob(det: &Sanitized<StreamingCusum>, inner_ready: &[f64]) -> Vec<u8> {
+    let mut w = CkptWriter::new();
+    w.u32(CKPT_MAGIC);
+    w.u32(CKPT_VERSION);
+    w.str(&det.name());
+    w.u8(1); // NanPolicy::Skip
+    det.inner().save_state(&mut w);
+    w.opt_f64(None); // last finite sample
+    w.usize(0); // kept pushes
+    w.usize(0); // slot runs
+    w.f64_seq(inner_ready.len(), inner_ready.iter().copied());
+    w.usize(0); // resolved outputs
+    w.u64(0); // quarantined
+    w.finish()
+}
+
+/// Every push hands its inner score to a queued `Await` slot at once, so
+/// no push sequence leaves an inner score waiting: restore refuses a blob
+/// that holds one.
+#[test]
+fn sanitized_restore_refuses_a_waiting_inner_score() {
+    let mut det = sanitized_cusum(NanPolicy::Skip);
+    let ok = fresh_sanitized_blob(&det, &[]);
+    assert_eq!(ok, checkpoint(&det), "the hand-built layout matches");
+    restore(&mut det, &ok).unwrap();
+    let bad = fresh_sanitized_blob(&det, &[1.0]);
+    assert!(restore(&mut det, &bad).is_err(), "a waiting inner score");
 }
