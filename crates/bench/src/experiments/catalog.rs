@@ -15,10 +15,11 @@
 //! (detector, family) row or a changed hit count fails the `catalog-smoke`
 //! CI job outright; per-detector wall time is gated at the usual
 //! [`crate::gate::MAX_WALL_RATIO`] above the
-//! [`crate::gate::WALL_NOISE_FLOOR_NS`] noise floor. The scoring loop is
-//! deliberately sequential
-//! so wall numbers do not depend on `TSAD_THREADS` — the smoke job runs
-//! the same gate at 1 and 4 threads.
+//! [`crate::gate::WALL_NOISE_FLOOR_NS`] noise floor. The scoring loop
+//! runs one detector on one series at a time, but MERLIN, discord,
+//! left-discord and subsequence 1-NN fan out over `tsad-parallel` inside
+//! the detector. Hit counts are thread-count invariant; wall numbers are
+//! not. The smoke job runs the same gate at 1 and 4 threads.
 
 use std::fmt::Write as _;
 use std::time::Instant;

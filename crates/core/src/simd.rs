@@ -998,9 +998,11 @@ pub use arm::{NeonC64, NeonF64};
 
 /// Generic wide dot product: two independent vector accumulators, folded and
 /// then a scalar tail. Reassociates the summation, so consumers are gated at
-/// 1e-9 relative tolerance, never bitwise.
+/// 1e-9 relative tolerance, never bitwise. Public so a kernel can inline it
+/// into its own per-backend monomorphization and still produce exactly the
+/// bits [`dot_with`] does for the same lane type.
 #[inline(always)]
-fn dot_lanes<L: F64Lanes>(a: &[f64], b: &[f64]) -> f64 {
+pub fn dot_lanes<L: F64Lanes>(a: &[f64], b: &[f64]) -> f64 {
     let n = a.len().min(b.len());
     let step = 2 * L::LANES;
     let mut acc0 = L::splat(0.0);
@@ -1047,8 +1049,15 @@ pub fn dot_with(backend: Backend, a: &[f64], b: &[f64]) -> f64 {
         Backend::Sse2 => dot_lanes::<SseF64>(a, b),
         #[cfg(target_arch = "aarch64")]
         Backend::Neon => dot_lanes::<NeonF64>(a, b),
-        _ => a.iter().zip(b).map(|(&x, &y)| x * y).sum(),
+        _ => dot_sequential(a, b),
     }
+}
+
+/// The scalar backend's dot product: the exact sequential left-to-right sum
+/// (the historical behavior), inlinable into a kernel's scalar body.
+#[inline(always)]
+pub fn dot_sequential(a: &[f64], b: &[f64]) -> f64 {
+    a.iter().zip(b).map(|(&x, &y)| x * y).sum()
 }
 
 /// Dot product under the currently dispatched backend.

@@ -11,14 +11,23 @@
 //! The result is exactly the brute-force discord (it is an exact algorithm,
 //! only the visit order is heuristic); tests verify agreement with the
 //! matrix-profile discord.
+//!
+//! Pairs are scored by the same fused distance as MERLIN's DRAG
+//! (`crate::pair`): one dot product over window moments computed once per
+//! call, with the search compiled per SIMD backend. Like MERLIN, results
+//! are bitwise on the scalar backend and within 1e-9 relative on the wide
+//! ones (DESIGN.md §11).
 
+use std::cell::RefCell;
 use std::collections::HashMap;
 
 use tsad_core::error::{CoreError, Result};
 use tsad_core::sax::sax_word;
-use tsad_core::windows::subsequence_count;
+use tsad_core::simd;
+use tsad_core::windows::{subsequence_count, MomentsScratch, WindowMoments};
 
 use crate::matrix_profile::exclusion_zone;
+use crate::pair::{self, pair_distance, Dot, PairSearch};
 
 /// HOT SAX parameters.
 #[derive(Debug, Clone, Copy)]
@@ -38,12 +47,30 @@ impl Default for HotSaxConfig {
     }
 }
 
+/// Window moments reused across calls on one thread, so repeated searches
+/// stop allocating them once the largest series has been seen.
+#[derive(Debug, Default)]
+struct MomentsSpace {
+    moments: WindowMoments,
+    scratch: MomentsScratch,
+}
+
+thread_local! {
+    static MOMENTS: RefCell<MomentsSpace> = RefCell::new(MomentsSpace::default());
+}
+
 /// The discord found by HOT SAX: `(start_index, nn_distance)`.
 ///
 /// Distances are z-normalized Euclidean, identical to the matrix profile's
 /// metric, so results are directly comparable with
 /// [`crate::matrix_profile::stomp`].
+///
+/// A non-finite value is rejected: the window moments are prefix sums, so
+/// one NaN would poison every later window's distance.
 pub fn hotsax_discord(x: &[f64], m: usize, config: &HotSaxConfig) -> Result<(usize, f64)> {
+    if let Some(index) = x.iter().position(|v| !v.is_finite()) {
+        return Err(CoreError::NonFinite { index });
+    }
     let count = subsequence_count(x.len(), m)?;
     if count < 2 {
         return Err(CoreError::BadWindow {
@@ -58,55 +85,41 @@ pub fn hotsax_discord(x: &[f64], m: usize, config: &HotSaxConfig) -> Result<(usi
             expected: "word_length <= subsequence length",
         });
     }
-    let excl = exclusion_zone(m);
 
-    // Bucket subsequences by SAX word.
-    let mut buckets: HashMap<Vec<u8>, Vec<usize>> = HashMap::new();
-    let mut words: Vec<Vec<u8>> = Vec::with_capacity(count);
+    // Bucket subsequences by SAX word; each window keeps its bucket's id.
+    let mut ids: HashMap<Vec<u8>, usize> = HashMap::new();
+    let mut buckets: Vec<Vec<usize>> = Vec::new();
+    let mut bucket_of: Vec<usize> = Vec::with_capacity(count);
     for i in 0..count {
         let w = sax_word(&x[i..i + m], config.word_length, config.alphabet)?;
-        buckets.entry(w.clone()).or_default().push(i);
-        words.push(w);
+        let id = *ids.entry(w).or_insert_with(|| {
+            buckets.push(Vec::new());
+            buckets.len() - 1
+        });
+        buckets[id].push(i);
+        bucket_of.push(id);
     }
 
     // Outer order: rarest words first.
     let mut order: Vec<usize> = (0..count).collect();
-    order.sort_by_key(|&i| buckets[&words[i]].len());
+    order.sort_by_key(|&i| buckets[bucket_of[i]].len());
 
-    let mut best_dist = f64::NEG_INFINITY;
-    let mut best_loc = 0usize;
-
-    for &i in &order {
-        // nearest-neighbor distance of subsequence i, early-abandoning once
-        // it drops below the best-so-far discord distance.
-        let mut nn = f64::INFINITY;
-        let mut abandoned = false;
-
-        let same_bucket = &buckets[&words[i]];
-        let inner: Box<dyn Iterator<Item = usize>> = Box::new(
-            same_bucket
-                .iter()
-                .copied()
-                .chain((0..count).filter(|j| words[*j] != words[i])),
-        );
-        for j in inner {
-            if j.abs_diff(i) < excl {
-                continue;
-            }
-            let d = tsad_core::dist::znorm_euclidean(&x[i..i + m], &x[j..j + m])?;
-            if d < nn {
-                nn = d;
-                if nn < best_dist {
-                    abandoned = true;
-                    break; // i cannot be the discord
-                }
-            }
-        }
-        if !abandoned && nn.is_finite() && nn > best_dist {
-            best_dist = nn;
-            best_loc = i;
-        }
-    }
+    let backend = simd::current();
+    let (best_loc, best_dist) = MOMENTS.with(|space| -> Result<(usize, f64)> {
+        let space = &mut *space.borrow_mut();
+        WindowMoments::compute_with(x, m, &mut space.scratch, &mut space.moments)?;
+        Ok(pair::dispatch(
+            backend,
+            HotSaxScan {
+                x,
+                m,
+                moments: &space.moments,
+                buckets: &buckets,
+                bucket_of: &bucket_of,
+                order: &order,
+            },
+        ))
+    })?;
     if !best_dist.is_finite() {
         return Err(CoreError::BadWindow {
             window: m,
@@ -114,6 +127,88 @@ pub fn hotsax_discord(x: &[f64], m: usize, config: &HotSaxConfig) -> Result<(usi
         });
     }
     Ok((best_loc, best_dist))
+}
+
+/// The HOT SAX search proper over precomputed buckets and visit order,
+/// compiled per SIMD backend through [`pair::dispatch`].
+struct HotSaxScan<'a> {
+    x: &'a [f64],
+    m: usize,
+    moments: &'a WindowMoments,
+    buckets: &'a [Vec<usize>],
+    bucket_of: &'a [usize],
+    order: &'a [usize],
+}
+
+impl PairSearch for HotSaxScan<'_> {
+    type Output = (usize, f64);
+
+    #[inline(always)]
+    fn run<D: Dot>(self) -> (usize, f64) {
+        let HotSaxScan {
+            x,
+            m,
+            moments,
+            buckets,
+            bucket_of,
+            order,
+        } = self;
+        let excl = exclusion_zone(m);
+        let mut best_dist = f64::NEG_INFINITY;
+        let mut best_loc = 0usize;
+        for &i in order {
+            // Nearest-neighbor distance of subsequence i, early-abandoning
+            // once it drops below the best-so-far discord distance: windows
+            // sharing i's word first, then every other window in order.
+            let word = bucket_of[i];
+            let mut nn = f64::INFINITY;
+            let abandoned = 'scan: {
+                for &j in &buckets[word] {
+                    if closer::<D>(x, m, moments, i, j, excl, &mut nn) && nn < best_dist {
+                        break 'scan true;
+                    }
+                }
+                for (j, &other) in bucket_of.iter().enumerate() {
+                    if other != word
+                        && closer::<D>(x, m, moments, i, j, excl, &mut nn)
+                        && nn < best_dist
+                    {
+                        break 'scan true;
+                    }
+                }
+                false
+            };
+            if !abandoned && nn.is_finite() && nn > best_dist {
+                best_dist = nn;
+                best_loc = i;
+            }
+        }
+        (best_loc, best_dist)
+    }
+}
+
+/// Lowers `nn` to the distance between windows `i` and `j` if that is
+/// smaller (pairs inside the exclusion zone are skipped); reports whether
+/// it did.
+#[inline(always)]
+fn closer<D: Dot>(
+    x: &[f64],
+    m: usize,
+    moments: &WindowMoments,
+    i: usize,
+    j: usize,
+    excl: usize,
+    nn: &mut f64,
+) -> bool {
+    if j.abs_diff(i) < excl {
+        return false;
+    }
+    let d = pair_distance::<D>(x, m, moments, i, j);
+    if d < *nn {
+        *nn = d;
+        return true;
+    }
+    false
 }
 
 /// [`crate::Detector`] adapter over the HOT SAX discord search: zero
@@ -196,6 +291,16 @@ mod tests {
             alphabet: 3,
         };
         assert!(hotsax_discord(&x, 20, &cfg).is_err());
+    }
+
+    #[test]
+    fn hotsax_rejects_non_finite_input() {
+        let mut x = anomalous_signal();
+        x[40] = f64::NAN;
+        assert!(matches!(
+            hotsax_discord(&x, 25, &HotSaxConfig::default()),
+            Err(CoreError::NonFinite { index: 40 })
+        ));
     }
 
     #[test]

@@ -55,6 +55,7 @@ pub mod matrix_profile;
 pub mod merlin;
 pub mod multivariate;
 pub mod oneliner;
+mod pair;
 pub mod registry;
 pub mod seasonal;
 pub mod spectral;

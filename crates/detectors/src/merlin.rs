@@ -10,15 +10,23 @@
 //!    that could have a nearest neighbor farther than `r`.
 //! 2. **Refinement**: a second pass computes each surviving candidate's
 //!    true nearest-neighbor distance, discarding it the moment the distance
-//!    drops below `r`.
+//!    drops below `r`, or to the best discord found so far (which it could
+//!    then never beat).
 //!
 //! If `r` was too large (no candidates survive), MERLIN retries with a
 //! smaller `r`; between consecutive lengths it warm-starts `r` from the
 //! previous discord distance.
+//!
+//! Each pair costs one fused dot product over precomputed window moments
+//! (`crate::pair`, shared with HOT SAX). Both passes are written once over
+//! that dot product and compiled per SIMD backend, dispatched once per
+//! pass. The length sweep runs on `tsad-parallel` workers that claim one
+//! length at a time; results are identical at every thread count.
 
 use std::cell::RefCell;
 
-use tsad_core::dist::dot_to_znorm_dist;
+use std::sync::atomic::{AtomicUsize, Ordering};
+
 use tsad_core::error::{CoreError, Result};
 use tsad_core::simd::{self, Backend};
 use tsad_core::windows::{subsequence_count, MomentsScratch, WindowMoments};
@@ -26,6 +34,7 @@ use tsad_obs::Counter;
 use tsad_parallel::ScratchPool;
 
 use crate::matrix_profile::exclusion_zone;
+use crate::pair::{self, pair_distance, Dot, PairSearch};
 
 /// DRAG invocations — one per `(length, r)` attempt, so the ratio to the
 /// number of candidate lengths shows how often the `r` halving retried.
@@ -34,7 +43,8 @@ static DRAG_PASSES: Counter = Counter::new("detectors.merlin.drag_passes");
 static WINDOWS_PRUNED: Counter = Counter::new("detectors.merlin.windows_pruned");
 /// Windows that survived phase 1 into the refinement pass.
 static CANDIDATES_KEPT: Counter = Counter::new("detectors.merlin.candidates_kept");
-/// Phase-2 candidates abandoned early (nearest neighbor within `r`).
+/// Phase-2 candidates abandoned early: nearest neighbor within `r`, or no
+/// farther than the best discord so far.
 static REFINE_ABANDONED: Counter = Counter::new("detectors.merlin.refine_abandoned");
 
 /// A discord found at a specific subsequence length.
@@ -64,36 +74,99 @@ thread_local! {
     static DRAG_SCRATCH: RefCell<DragScratch> = RefCell::new(DragScratch::default());
 }
 
-/// Z-normalized distance between windows `i` and `j` from one fused dot
-/// product and the precomputed moments — no per-pair normalization buffers
-/// (the historical `znorm_euclidean` call allocated two vectors and made
-/// four passes per pair). The dot product runs on the dispatched SIMD
-/// backend: the scalar backend reproduces the historical sequential sum
-/// bit for bit, while the wide backends reassociate the accumulation and
-/// agree with it at 1e-9 relative — which is why MERLIN is tolerance-gated
-/// rather than bitwise-gated across backends (DESIGN.md §11).
-#[inline]
-fn pair_distance(
-    x: &[f64],
+/// The two DRAG passes for one `(m, r)`, over precomputed moments and a
+/// caller-owned candidate buffer; written once and compiled per SIMD
+/// backend through [`pair::dispatch`].
+struct DragPass<'a> {
+    x: &'a [f64],
     m: usize,
-    moments: &WindowMoments,
-    backend: Backend,
-    i: usize,
-    j: usize,
-) -> f64 {
-    let dot = simd::dot_with(backend, &x[i..i + m], &x[j..j + m]);
-    dot_to_znorm_dist(
-        dot,
-        m,
-        moments.means[i],
-        moments.stds[i],
-        moments.means[j],
-        moments.stds[j],
-    )
+    r: f64,
+    moments: &'a WindowMoments,
+    candidates: &'a mut Vec<usize>,
 }
 
-/// The two DRAG passes for one `(m, r)`, over precomputed moments and a
-/// caller-owned candidate buffer.
+impl PairSearch for DragPass<'_> {
+    type Output = Option<(usize, f64)>;
+
+    #[inline(always)]
+    fn run<D: Dot>(self) -> Option<(usize, f64)> {
+        let DragPass {
+            x,
+            m,
+            r,
+            moments,
+            candidates,
+        } = self;
+        let count = moments.len();
+        let excl = exclusion_zone(m);
+
+        // Phase 1: candidate selection, compacting the survivor list in
+        // place with a write cursor.
+        candidates.clear();
+        for i in 0..count {
+            let mut is_candidate = true;
+            let mut write = 0;
+            for read in 0..candidates.len() {
+                let c = candidates[read];
+                if i.abs_diff(c) < excl {
+                    candidates[write] = c;
+                    write += 1;
+                    continue;
+                }
+                let d = pair_distance::<D>(x, m, moments, i, c);
+                if d < r {
+                    // c has a neighbor within r → not a discord; and i
+                    // matched something, so i is not a candidate either.
+                    is_candidate = false;
+                } else {
+                    candidates[write] = c;
+                    write += 1;
+                }
+            }
+            candidates.truncate(write);
+            if is_candidate {
+                candidates.push(i);
+            }
+        }
+        // Phase 1's whole point is shrinking the refinement set: windows
+        // that never survive to phase 2 are the "pruned" ones.
+        WINDOWS_PRUNED.add((count - candidates.len()) as u64);
+        CANDIDATES_KEPT.add(candidates.len() as u64);
+        if candidates.is_empty() {
+            return None;
+        }
+
+        // Phase 2: refinement. A candidate is abandoned the moment its
+        // running nearest-neighbor distance drops below `r` (a phase-1
+        // false positive) or to the best discord so far: `best` changes
+        // only on a strictly larger distance, so such a candidate can
+        // never replace it.
+        let mut best_loc = 0;
+        let mut best_dist = f64::NEG_INFINITY;
+        'cand: for &c in candidates.iter() {
+            let mut nn = f64::INFINITY;
+            for j in 0..count {
+                if j.abs_diff(c) < excl {
+                    continue;
+                }
+                let d = pair_distance::<D>(x, m, moments, c, j);
+                if d < nn {
+                    nn = d;
+                    if nn < r || nn <= best_dist {
+                        REFINE_ABANDONED.inc();
+                        continue 'cand;
+                    }
+                }
+            }
+            if nn.is_finite() && nn > best_dist {
+                best_loc = c;
+                best_dist = nn;
+            }
+        }
+        best_dist.is_finite().then_some((best_loc, best_dist))
+    }
+}
+
 fn drag_phases(
     x: &[f64],
     m: usize,
@@ -103,68 +176,16 @@ fn drag_phases(
     candidates: &mut Vec<usize>,
 ) -> Option<(usize, f64)> {
     DRAG_PASSES.inc();
-    let count = moments.len();
-    let excl = exclusion_zone(m);
-
-    // Phase 1: candidate selection, compacting the survivor list in place
-    // with a write cursor (the historical version rebuilt a `kept` vector
-    // per window — `O(count)` allocations per call).
-    candidates.clear();
-    for i in 0..count {
-        let mut is_candidate = true;
-        let mut write = 0;
-        for read in 0..candidates.len() {
-            let c = candidates[read];
-            if i.abs_diff(c) < excl {
-                candidates[write] = c;
-                write += 1;
-                continue;
-            }
-            let d = pair_distance(x, m, moments, backend, i, c);
-            if d < r {
-                // c has a neighbor within r → not a discord; and i matched
-                // something, so i is not a candidate either.
-                is_candidate = false;
-            } else {
-                candidates[write] = c;
-                write += 1;
-            }
-        }
-        candidates.truncate(write);
-        if is_candidate {
-            candidates.push(i);
-        }
-    }
-    // Phase 1's whole point is shrinking the refinement set: windows that
-    // never survive to phase 2 are the "pruned" ones.
-    WINDOWS_PRUNED.add((count - candidates.len()) as u64);
-    CANDIDATES_KEPT.add(candidates.len() as u64);
-    if candidates.is_empty() {
-        return None;
-    }
-
-    // Phase 2: refinement with early abandon at r.
-    let mut best: Option<(usize, f64)> = None;
-    'cand: for &c in candidates.iter() {
-        let mut nn = f64::INFINITY;
-        for j in 0..count {
-            if j.abs_diff(c) < excl {
-                continue;
-            }
-            let d = pair_distance(x, m, moments, backend, c, j);
-            if d < nn {
-                nn = d;
-                if nn < r {
-                    REFINE_ABANDONED.inc();
-                    continue 'cand; // false positive from phase 1
-                }
-            }
-        }
-        if nn.is_finite() && best.is_none_or(|(_, bd)| nn > bd) {
-            best = Some((c, nn));
-        }
-    }
-    best
+    pair::dispatch(
+        backend,
+        DragPass {
+            x,
+            m,
+            r,
+            moments,
+            candidates,
+        },
+    )
 }
 
 /// DRAG phase 1+2 for one length: the top discord, or `None` if every
@@ -199,7 +220,7 @@ pub fn drag_discord(x: &[f64], m: usize, r: f64) -> Result<Option<(usize, f64)>>
 /// with ties broken by the earliest start index), and if the halving loop
 /// bottoms out, the `r = 0` call disables both pruning rules and returns
 /// the exact answer unconditionally. This hint-independence is what lets
-/// [`merlin`] split the length range into chunks at arbitrary boundaries.
+/// [`merlin_into`] hand the lengths to its workers in any order.
 fn discord_at_length(
     x: &[f64],
     m: usize,
@@ -266,30 +287,35 @@ fn discord_at_length(
     }
 }
 
-/// Pooled per-chunk state for the MERLIN length sweep: the partial result
-/// list and the first error a chunk hit (if any). Pooling these — together
-/// with the thread-local [`DragScratch`] — makes a warm [`merlin_into`]
-/// call fully allocation-free.
+/// Pooled per-worker state for the MERLIN length sweep: the discords of
+/// the lengths a worker claimed, and the smallest length offset it failed
+/// at (if any). Pooling these — together with the thread-local
+/// [`DragScratch`] — makes a warm [`merlin_into`] call fully
+/// allocation-free.
 #[derive(Debug, Default)]
 struct MerlinSpace {
     part: Vec<LengthDiscord>,
-    err: Option<CoreError>,
+    err: Option<(usize, CoreError)>,
 }
 
 static MERLIN_POOL: ScratchPool<MerlinSpace> = ScratchPool::new();
 
 /// MERLIN: top discord at every length in `min_len ..= max_len`, appended
-/// to `out` in length order.
+/// to `out` in length order. On error `out` is left as it was, and the
+/// error is that of the smallest failing length.
 ///
 /// `r` starts at `2√m` (the theoretical maximum z-normalized distance) and
 /// halves until DRAG succeeds; subsequent lengths warm-start from the
 /// previous discord distance scaled by 0.99, as in the published algorithm.
 ///
-/// The length range fans out over `tsad-parallel` in contiguous chunks
-/// with pooled per-chunk buffers; the warm-start chain restarts cold at
-/// each chunk boundary, which costs a few extra halving probes but —
-/// because `discord_at_length` is hint-independent — leaves every
-/// per-length result identical at every thread count. The SIMD backend is
+/// The sweep runs one worker per `tsad-parallel` thread. Workers claim one
+/// length at a time, in ascending order, from a shared counter, and each
+/// warm-starts from the last length it searched. The cost of a length
+/// grows with `m` and with how good its hint is, so no static split
+/// balances the range; claims do. Which worker gets which length (and so
+/// which hint) depends on scheduling, but `discord_at_length` is
+/// hint-independent, so every per-length result is identical at every
+/// thread count; only the amount of work varies. The SIMD backend is
 /// resolved once here, on the caller's thread, so worker threads cannot
 /// change the dispatch either.
 pub fn merlin_into(
@@ -308,40 +334,53 @@ pub fn merlin_into(
     subsequence_count(x.len(), max_len)?;
     let lengths = max_len - min_len + 1;
     let backend = simd::current();
+    let base = out.len();
     out.reserve(lengths);
-    let mut first_err: Option<CoreError> = None;
+    let next = AtomicUsize::new(0);
+    let mut first_err: Option<(usize, CoreError)> = None;
     tsad_parallel::par_chunks_scratch(
         &MERLIN_POOL,
-        lengths,
+        tsad_parallel::current_threads().min(lengths),
         MerlinSpace::default,
-        |space, range| {
+        |space, _worker| {
             space.part.clear();
             space.err = None;
             let mut r_hint: Option<f64> = None;
-            for offset in range {
+            loop {
+                // Relaxed: the counter only hands out offsets; the
+                // discords come back through the scope's join.
+                let offset = next.fetch_add(1, Ordering::Relaxed);
+                if offset >= lengths {
+                    break;
+                }
                 match discord_at_length(x, min_len + offset, backend, &mut r_hint) {
                     Ok(d) => space.part.push(d),
                     Err(e) => {
-                        space.err = Some(e);
+                        // Every smaller offset is already claimed, and its
+                        // worker either searches it or stopped at an even
+                        // smaller failure, so the smallest failing length
+                        // is always reported.
+                        space.err = Some((offset, e));
                         break;
                     }
                 }
             }
         },
         |space| {
-            if first_err.is_none() {
-                if let Some(e) = space.err.take() {
-                    first_err = Some(e);
-                } else {
-                    out.extend_from_slice(&space.part);
+            out.extend_from_slice(&space.part);
+            if let Some((offset, e)) = space.err.take() {
+                if first_err.as_ref().is_none_or(|(o, _)| offset < *o) {
+                    first_err = Some((offset, e));
                 }
             }
         },
     );
-    match first_err {
-        Some(e) => Err(e),
-        None => Ok(()),
+    if let Some((_, e)) = first_err {
+        out.truncate(base);
+        return Err(e);
     }
+    out[base..].sort_unstable_by_key(|d| d.length);
+    Ok(())
 }
 
 /// Allocating convenience wrapper over [`merlin_into`].

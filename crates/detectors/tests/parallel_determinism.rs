@@ -6,9 +6,11 @@
 //! comparing with exact equality — not a tolerance.
 
 use proptest::prelude::*;
+use tsad_core::simd::{self, Backend};
 use tsad_detectors::matrix_profile::{left_stomp, prefix_join, stamp, stomp, ProfileMetric};
-use tsad_detectors::merlin::{merlin, merlin_top};
+use tsad_detectors::merlin::{merlin, merlin_top, LengthDiscord};
 use tsad_parallel::with_threads;
+use tsad_synth::yahoo::{self, Family};
 
 const THREAD_COUNTS: [usize; 3] = [1, 2, 8];
 
@@ -130,6 +132,109 @@ fn merlin_is_thread_count_invariant() {
                 b.distance.to_bits(),
                 "length {} distance diverged at {t} threads",
                 a.length
+            );
+        }
+    }
+}
+
+/// FNV-1a over every discord's `(length, start, distance bits)`.
+fn merlin_digest(discords: &[LengthDiscord]) -> u64 {
+    let mut h = 0xcbf2_9ce4_8422_2325u64;
+    for d in discords {
+        for word in [d.length as u64, d.start as u64, d.distance.to_bits()] {
+            for byte in word.to_le_bytes() {
+                h ^= u64::from(byte);
+                h = h.wrapping_mul(0x0000_0100_0000_01b3);
+            }
+        }
+    }
+    h
+}
+
+/// MERLIN's catalog setting (lengths 8..=64) on the first seed-42 series
+/// of each Yahoo family.
+fn merlin_catalog_digest(family: Family) -> u64 {
+    let s = yahoo::generate(42, family, 1);
+    merlin_digest(&merlin(s.dataset.values(), 8, 64).unwrap())
+}
+
+#[test]
+fn merlin_matches_pinned_scalar_digests_at_every_thread_count() {
+    // Recorded before DRAG gained per-backend compilation, the best-so-far
+    // abandon and per-length work claims: under the scalar backend (the
+    // exact sequential dot product) none of them may move a single bit.
+    const PINS: [(Family, u64); 4] = [
+        (Family::A1, 0xb388_1f71_f857_6c96),
+        (Family::A2, 0xcc1b_5a23_51f2_7346),
+        (Family::A3, 0x4fd0_d3f7_29ee_9203),
+        (Family::A4, 0x136e_97a5_fb79_423e),
+    ];
+    for (family, pin) in PINS {
+        for t in THREAD_COUNTS {
+            let got = simd::with_backend(Backend::Scalar, || {
+                with_threads(t, || merlin_catalog_digest(family))
+            });
+            assert_eq!(got, pin, "{family:?} at {t} threads: {got:#018x}");
+        }
+    }
+}
+
+#[test]
+fn merlin_dispatched_backend_is_thread_count_invariant() {
+    for family in Family::all() {
+        let base = with_threads(1, || merlin_catalog_digest(family));
+        for t in [2, 8] {
+            let got = with_threads(t, || merlin_catalog_digest(family));
+            assert_eq!(got, base, "{family:?} at {t} threads");
+        }
+    }
+}
+
+#[test]
+fn merlin_breaks_a_tie_between_identical_anomalies_by_earlier_start() {
+    // A palindromic, zero-sum integer series: a period-8 triangle wave
+    // symmetric about its centre, plus the same palindromic bump at two
+    // mirrored spots (not a period apart, so neither window is a copy of
+    // the other). Every partial sum is an exact integer, so window `i` and
+    // its mirror `n - m - i` get bitwise equal moments, dot products and
+    // nearest-neighbour distances: the top discord always ties with its
+    // mirror, and the earlier start must win at every thread count.
+    let n = 8 * 50 + 1;
+    let mut x: Vec<f64> = (0..n)
+        .map(|t| [2.0, 1.0, 0.0, -1.0, -2.0, -1.0, 0.0, 1.0][t % 8])
+        .collect();
+    let p = 100;
+    for (k, b) in [3.0, -7.0, 3.0].into_iter().enumerate() {
+        x[p + k] += b;
+        x[n - 3 - p + k] += b;
+    }
+    assert!(x.iter().eq(x.iter().rev()));
+    assert_eq!(x.iter().sum::<f64>(), 0.0);
+    for backend in [Backend::Scalar, simd::current()] {
+        let base = simd::with_backend(backend, || with_threads(1, || merlin(&x, 8, 24).unwrap()));
+        for d in &base {
+            let mirror = n - d.length - d.start;
+            assert!(
+                d.start < mirror,
+                "length {}: start {} is the later twin of {mirror}",
+                d.length,
+                d.start
+            );
+            assert!(
+                d.start + d.length > p && d.start <= p + 2,
+                "length {}: discord at {} misses the anomaly",
+                d.length,
+                d.start
+            );
+        }
+        for t in [2, 8] {
+            let got =
+                simd::with_backend(backend, || with_threads(t, || merlin(&x, 8, 24).unwrap()));
+            assert_eq!(
+                merlin_digest(&got),
+                merlin_digest(&base),
+                "{} at {t} threads",
+                backend.name()
             );
         }
     }

@@ -1,7 +1,11 @@
 //! Property-based tests for detector invariants.
 
 use proptest::prelude::*;
+use tsad_core::dist::dot_to_znorm_dist;
+use tsad_core::simd::{self, Backend};
+use tsad_core::windows::WindowMoments;
 use tsad_core::{Labels, Region, TimeSeries};
+use tsad_detectors::hotsax::{hotsax_discord, HotSaxConfig};
 use tsad_detectors::matrix_profile::{stomp, stomp_metric, ProfileMetric};
 use tsad_detectors::oneliner::{equation, solves, Equation, Expr, OneLiner};
 use tsad_detectors::telemanom::ewma;
@@ -9,6 +13,30 @@ use tsad_detectors::threshold::{discrimination_ratio, top_k_peaks};
 
 fn signal(min_len: usize, max_len: usize) -> impl Strategy<Value = Vec<f64>> {
     prop::collection::vec(-100.0f64..100.0, min_len..=max_len)
+}
+
+/// Every window's nearest-neighbour distance by brute force, scored like
+/// HOT SAX and MERLIN score a pair: one dot product on `backend` over the
+/// window moments, with window `i` as the first argument.
+fn brute_force_nn(x: &[f64], m: usize, backend: Backend) -> Vec<f64> {
+    let mo = WindowMoments::compute(x, m).unwrap();
+    let excl = m.div_ceil(2);
+    (0..mo.len())
+        .map(|i| {
+            let mut nn = f64::INFINITY;
+            for j in 0..mo.len() {
+                if j.abs_diff(i) < excl {
+                    continue;
+                }
+                let dot = simd::dot_with(backend, &x[i..i + m], &x[j..j + m]);
+                let d = dot_to_znorm_dist(dot, m, mo.means[i], mo.stds[i], mo.means[j], mo.stds[j]);
+                if d < nn {
+                    nn = d;
+                }
+            }
+            nn
+        })
+        .collect()
 }
 
 proptest! {
@@ -106,6 +134,34 @@ proptest! {
         let p2 = stomp(&transformed, m).unwrap();
         for (a, b) in p1.profile.iter().zip(&p2.profile) {
             prop_assert!((a - b).abs() < 1e-4, "{} vs {}", a, b);
+        }
+    }
+
+    #[test]
+    fn hotsax_distance_is_the_brute_force_max_of_min(
+        mut x in signal(40, 160),
+        m in 6usize..20,
+        flat_at in 0usize..160,
+        flat_len in 0usize..40,
+    ) {
+        // A flat stretch makes constant windows, which the pair distance
+        // scores by convention rather than by the dot product.
+        let start = flat_at.min(x.len());
+        let end = (start + flat_len).min(x.len());
+        x[start..end].fill(7.5);
+        let backends = [Backend::Scalar, Backend::Avx2, Backend::Sse2, Backend::Neon];
+        for be in backends.into_iter().filter(|b| b.is_supported()) {
+            let (loc, dist) = simd::with_backend(be, || {
+                hotsax_discord(&x, m, &HotSaxConfig::default()).unwrap()
+            });
+            let nn = brute_force_nn(&x, m, be);
+            let best = nn
+                .iter()
+                .copied()
+                .filter(|d| d.is_finite())
+                .fold(f64::NEG_INFINITY, f64::max);
+            prop_assert_eq!(dist.to_bits(), best.to_bits(), "{} m={}", be.name(), m);
+            prop_assert_eq!(nn[loc].to_bits(), dist.to_bits(), "{} loc={}", be.name(), loc);
         }
     }
 

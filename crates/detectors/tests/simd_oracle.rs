@@ -5,8 +5,8 @@
 //! forced-scalar twin **bitwise**: the lane chains replicate the scalar
 //! operation chains exactly, and the order-independent tie rule makes lane
 //! grouping and the ragged prologues/epilogues invisible (DESIGN.md §11).
-//! MERLIN's fused dot product reassociates on wide backends, so it is held
-//! to a 1e-9 relative tolerance instead.
+//! MERLIN's and HOT SAX's fused dot product reassociates on wide backends,
+//! so they are held to a 1e-9 relative tolerance instead.
 //!
 //! Shapes deliberately cover lane remainders (profile lengths not a
 //! multiple of the lane width), `m` close to `n` (bands shorter than one
@@ -15,6 +15,7 @@
 
 use proptest::prelude::*;
 use tsad_core::simd::{self, Backend};
+use tsad_detectors::hotsax::{hotsax_discord, HotSaxConfig};
 use tsad_detectors::matrix_profile::{
     left_stomp, prefix_join, stomp_metric, MatrixProfile, ProfileMetric,
 };
@@ -154,6 +155,27 @@ fn merlin_agrees_with_scalar_at_tolerance() {
                 a.length,
                 a.distance,
                 b.distance
+            );
+        }
+    }
+}
+
+#[test]
+fn hotsax_agrees_with_scalar_at_tolerance() {
+    // HOT SAX scores pairs with MERLIN's fused distance, so the same
+    // contract holds: equal discord locations, distances within 1e-9.
+    let config = HotSaxConfig::default();
+    for (n, seed, m) in [(500, 99, 24), (377, 5, 13), (640, 21, 40)] {
+        let x = series(n, seed);
+        let (ref_loc, ref_dist) =
+            simd::with_backend(Backend::Scalar, || hotsax_discord(&x, m, &config).unwrap());
+        for be in wide_backends() {
+            let (loc, dist) = simd::with_backend(be, || hotsax_discord(&x, m, &config).unwrap());
+            assert_eq!(loc, ref_loc, "{} n={n} m={m}", be.name());
+            assert!(
+                (dist - ref_dist).abs() / ref_dist.abs().max(1.0) < 1e-9,
+                "{} n={n} m={m}: {dist} vs {ref_dist}",
+                be.name()
             );
         }
     }
