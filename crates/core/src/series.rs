@@ -6,6 +6,18 @@
 
 use crate::error::{CoreError, Result};
 
+/// Rejects the first non-finite value of `values` as
+/// [`CoreError::NonFinite`]. Series construction and score validation use
+/// it, and so do the raw-slice entry points of the kernels built on prefix
+/// sums (window moments), where one NaN would poison every later window
+/// and score as distance 0.
+pub fn ensure_finite(values: &[f64]) -> Result<()> {
+    match values.iter().position(|v| !v.is_finite()) {
+        Some(index) => Err(CoreError::NonFinite { index }),
+        None => Ok(()),
+    }
+}
+
 /// A univariate, regularly sampled time series.
 ///
 /// Values are stored as `f64`. Construction validates that every value is
@@ -21,9 +33,7 @@ pub struct TimeSeries {
 impl TimeSeries {
     /// Creates a new series, validating that all values are finite.
     pub fn new(name: impl Into<String>, values: Vec<f64>) -> Result<Self> {
-        if let Some(index) = values.iter().position(|v| !v.is_finite()) {
-            return Err(CoreError::NonFinite { index });
-        }
+        ensure_finite(&values)?;
         Ok(Self {
             name: name.into(),
             values,
@@ -146,9 +156,7 @@ impl MultiSeries {
                     right: ch.len(),
                 });
             }
-            if let Some(index) = ch.iter().position(|v| !v.is_finite()) {
-                return Err(CoreError::NonFinite { index });
-            }
+            ensure_finite(ch)?;
         }
         Ok(Self {
             name: name.into(),

@@ -68,9 +68,7 @@ thread_local! {
 /// A non-finite value is rejected: the window moments are prefix sums, so
 /// one NaN would poison every later window's distance.
 pub fn hotsax_discord(x: &[f64], m: usize, config: &HotSaxConfig) -> Result<(usize, f64)> {
-    if let Some(index) = x.iter().position(|v| !v.is_finite()) {
-        return Err(CoreError::NonFinite { index });
-    }
+    tsad_core::series::ensure_finite(x)?;
     let count = subsequence_count(x.len(), m)?;
     if count < 2 {
         return Err(CoreError::BadWindow {

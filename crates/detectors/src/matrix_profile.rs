@@ -16,11 +16,20 @@
 //! windows against the train windows — where per-window MASS pays an FFT
 //! sliding dot product, a moments pass and three allocations per test
 //! window.
+//!
+//! One walker per kernel advances four independent SIMD lane groups of
+//! adjacent diagonals per row (16 diagonals under AVX2), so the four
+//! dependent dot-product chains overlap in the core instead of one chain
+//! bounding each row; a band's last diagonals, too few for four groups,
+//! take one group and then the scalar walk. Every lane runs the scalar
+//! operation chain and every merge is order-independent, so the grouping
+//! never changes a bit of the result (DESIGN.md §11).
 
 use std::ops::Range;
 
 use tsad_core::dist::{dot_to_znorm_dist, mass_with_moments};
 use tsad_core::error::{CoreError, Result};
+use tsad_core::series::ensure_finite;
 use tsad_core::simd::{self, Backend, F64Lanes};
 use tsad_core::windows::{MomentsScratch, WindowMoments};
 use tsad_core::{stats, TimeSeries};
@@ -284,7 +293,7 @@ struct BandSpace {
     scores: Vec<f64>,
     index: Vec<usize>,
     /// Dot-product checkpoint per diagonal of the band, carried across row
-    /// blocks (see [`fill_band_lanes`]).
+    /// blocks (see [`BandKernel::fill`]).
     qt_save: Vec<f64>,
 }
 
@@ -308,204 +317,48 @@ fn merge_cell(scores: &mut [f64], index: &mut [usize], r: usize, s: f64, j: usiz
     }
 }
 
-/// Scalar walk of diagonal `k` over `rows` (a row is the `i` of the cell
-/// being scored: the pair is `(i, i+k)` for the self-join, `(i, i−k)` for
-/// the left profile). The diagonal's first row seeds `qt` from the
-/// precomputed dot-product row; later rows advance the STOMP recurrence
-/// `QT[i+1][j+1] = QT[i][j] − x[i]·x[j] + x[i+m]·x[j+m]` in place, so a
-/// diagonal can be walked in disjoint row slices (blocks) with `qt` carried
-/// between them.
-#[allow(clippy::too_many_arguments)]
+/// Lane groups every lockstep walker advances per row. One group's dot
+/// products form a dependent `sub → add` chain from row to row; four
+/// independent groups let those chains overlap in the core, and a band's
+/// last diagonals, too few for four groups, fall back to one group and then
+/// to the scalar walk.
+const GROUPS: usize = 4;
+
+/// Merges every lane of `s` into profile slot `r`, lane `g` carrying the
+/// neighbor `col(g)`.
 #[inline(always)]
-fn scalar_rows<S: Scorer, const LEFT: bool>(
-    x: &[f64],
-    m: usize,
-    first_row: &[f64],
-    scorer: &S,
-    k: usize,
-    rows: Range<usize>,
-    qt: &mut f64,
+fn merge_lanes<L: F64Lanes>(
     scores: &mut [f64],
     index: &mut [usize],
+    r: usize,
+    s: L,
+    col: impl Fn(usize) -> usize,
 ) {
-    let mut i = rows.start;
-    let seed_row = if LEFT { k } else { 0 };
-    if i <= seed_row && seed_row < rows.end {
-        *qt = first_row[k];
-        if LEFT {
-            let s = scorer.score(k, 0, *qt);
-            merge_cell(scores, index, k, s, 0);
-        } else {
-            let s = scorer.score(0, k, *qt);
-            merge_cell(scores, index, 0, s, k);
-            merge_cell(scores, index, k, s, 0);
-        }
-        i = seed_row + 1;
-    }
-    while i < rows.end {
-        let j = if LEFT { i - k } else { i + k };
-        *qt = *qt - x[i - 1] * x[j - 1] + x[i + m - 1] * x[j + m - 1];
-        let s = scorer.score(i, j, *qt);
-        merge_cell(scores, index, i, s, j);
-        if !LEFT {
-            merge_cell(scores, index, j, s, i);
-        }
-        i += 1;
+    let sa = s.to_array();
+    for (g, &sv) in sa.iter().enumerate().take(L::LANES) {
+        merge_cell(scores, index, r, sv, col(g));
     }
 }
 
-/// Lockstep walk of the self-join diagonal group `k..k+LANES` over `rows`.
-/// At row `i` the group's partners are the `LANES` consecutive windows
-/// starting at `i + k`, so the recurrence inputs, the scorer tables, and
-/// the partner-side profile slots are all contiguous vector loads. Rows
-/// past the lockstep range (diagonal `k+g` outlives the group by
-/// `LANES−1−g` rows) finish on the scalar twin with the same `qt` lanes.
-#[allow(clippy::too_many_arguments)]
+/// Merges lane `g` of `s` into profile slot `j0 + g` with neighbor `i`: the
+/// self-join's partner side, whose slots are contiguous.
 #[inline(always)]
-fn self_group_rows<L: F64Lanes, S: LaneScorer>(
-    x: &[f64],
-    m: usize,
-    count: usize,
-    first_row: &[f64],
-    scorer: &S,
-    k: usize,
-    rows: Range<usize>,
-    qs: &mut [f64],
-    scores: &mut [f64],
-    index: &mut [usize],
-) {
-    let vec_end = count - (k + L::LANES - 1);
-    let mut qt = if rows.start == 0 {
-        // Row 0 seeds every lane straight from the precomputed dot-product
-        // row and, like the scalar seed, scores both sides of each pair.
-        let qt = unsafe { L::load(first_row.as_ptr().add(k)) };
-        let s = unsafe { scorer.score_lanes::<L, true>(0, k, qt) };
-        if s.le_mask(L::splat(scores[0])) != 0 {
-            let sa = s.to_array();
-            for (g, &sv) in sa.iter().enumerate().take(L::LANES) {
-                merge_cell(scores, index, 0, sv, k + g);
-            }
-        }
-        let cur = unsafe { L::load(scores.as_ptr().add(k)) };
-        if s.le_mask(cur) != 0 {
-            let sa = s.to_array();
-            for (g, &sv) in sa.iter().enumerate().take(L::LANES) {
-                merge_cell(scores, index, k + g, sv, 0);
-            }
-        }
-        qt
-    } else {
-        unsafe { L::load(qs.as_ptr()) }
-    };
-    for i in rows.start.max(1)..rows.end.min(vec_end) {
-        let j0 = i + k;
-        let (xl, xh) = unsafe {
-            (
-                L::load(x.as_ptr().add(j0 - 1)),
-                L::load(x.as_ptr().add(j0 + m - 1)),
-            )
-        };
-        qt = qt
-            .sub(L::splat(x[i - 1]).mul(xl))
-            .add(L::splat(x[i + m - 1]).mul(xh));
-        let s = unsafe { scorer.score_lanes::<L, true>(i, j0, qt) };
-        // Fast path: a lane can only win a slot when its score is <= the
-        // slot's current one (NaN lanes compare false, as in merge_cell),
-        // so an all-clear mask skips the lane-by-lane merge entirely.
-        if s.le_mask(L::splat(scores[i])) != 0 {
-            let sa = s.to_array();
-            for (g, &sv) in sa.iter().enumerate().take(L::LANES) {
-                merge_cell(scores, index, i, sv, j0 + g);
-            }
-        }
-        let cur = unsafe { L::load(scores.as_ptr().add(j0)) };
-        if s.le_mask(cur) != 0 {
-            let sa = s.to_array();
-            for (g, &sv) in sa.iter().enumerate().take(L::LANES) {
-                merge_cell(scores, index, j0 + g, sv, i);
-            }
-        }
-    }
-    unsafe { qt.store(qs.as_mut_ptr()) };
-    // ragged end: lane L-1 defines the lockstep bound, earlier lanes run on
-    for (g, q) in qs.iter_mut().enumerate().take(L::LANES - 1) {
-        scalar_rows::<S, false>(
-            x,
-            m,
-            first_row,
-            scorer,
-            k + g,
-            rows.start.max(vec_end)..rows.end.min(count - (k + g)),
-            q,
-            scores,
-            index,
-        );
+fn merge_partners<L: F64Lanes>(scores: &mut [f64], index: &mut [usize], j0: usize, s: L, i: usize) {
+    let sa = s.to_array();
+    for (g, &sv) in sa.iter().enumerate().take(L::LANES) {
+        merge_cell(scores, index, j0 + g, sv, i);
     }
 }
 
-/// Lockstep walk of the left-profile diagonal group `k..k+LANES` over
-/// `rows`. Lane `g` pairs row `i` with window `i − k − g`: the columns
-/// descend as the lane index ascends, so the column-side loads are
-/// reversed. Diagonal `k+g` only comes alive at row `k+g` — the staggered
-/// prologue walks each lane on the scalar twin until the whole group is
-/// live, then the lanes advance in lockstep to the end of the series
-/// (left-profile diagonals all end at row `count`, so there is no ragged
-/// epilogue). Only the later window of each pair is updated.
-#[allow(clippy::too_many_arguments)]
+/// Whether any lane of the groups `s` is `<= bound`. A lane can only win a
+/// profile slot when its score is `<=` the slot's (NaN lanes compare false,
+/// as in [`merge_cell`]), so the lockstep walkers test every group of a row
+/// against an upper bound of the row's slot — its value before the row;
+/// it only falls during the row — and skip the lane-by-lane merge, on one
+/// well-predicted branch, when none can win.
 #[inline(always)]
-fn left_group_rows<L: F64Lanes, S: LaneScorer>(
-    x: &[f64],
-    m: usize,
-    first_row: &[f64],
-    scorer: &S,
-    k: usize,
-    rows: Range<usize>,
-    qs: &mut [f64],
-    scores: &mut [f64],
-    index: &mut [usize],
-) {
-    let vec_start = k + L::LANES;
-    for (g, q) in qs.iter_mut().enumerate().take(L::LANES) {
-        scalar_rows::<S, true>(
-            x,
-            m,
-            first_row,
-            scorer,
-            k + g,
-            rows.start.max(k + g)..rows.end.min(vec_start),
-            q,
-            scores,
-            index,
-        );
-    }
-    let start = rows.start.max(vec_start);
-    if start >= rows.end {
-        return;
-    }
-    let mut qt = unsafe { L::load(qs.as_ptr()) };
-    for i in start..rows.end {
-        let j0 = i - k;
-        // lane g reads x[j_g - 1] with j_g = j0 - g: reversed loads keep
-        // lane order while the addresses descend
-        let base = j0 - L::LANES;
-        let (xl, xh) = unsafe {
-            (
-                L::load_reversed(x.as_ptr().add(base)),
-                L::load_reversed(x.as_ptr().add(base + m)),
-            )
-        };
-        qt = qt
-            .sub(L::splat(x[i - 1]).mul(xl))
-            .add(L::splat(x[i + m - 1]).mul(xh));
-        let s = unsafe { scorer.score_lanes::<L, false>(i, j0, qt) };
-        if s.le_mask(L::splat(scores[i])) != 0 {
-            let sa = s.to_array();
-            for (g, &sv) in sa.iter().enumerate().take(L::LANES) {
-                merge_cell(scores, index, i, sv, j0 - g);
-            }
-        }
-    }
-    unsafe { qt.store(qs.as_mut_ptr()) };
+fn any_le<L: F64Lanes, const N: usize>(s: &[L; N], bound: L) -> bool {
+    s.iter().fold(0, |hit, sn| hit | sn.le_mask(bound)) != 0
 }
 
 /// Rows per cache block: every diagonal of a band advances through the same
@@ -514,98 +367,116 @@ fn left_group_rows<L: F64Lanes, S: LaneScorer>(
 /// rows touch well under 1 MB across the six hot arrays.
 const ROW_BLOCK: usize = 16_384;
 
-/// Walks one band of diagonals in lockstep groups of `L::LANES`, row-blocked
-/// to L2. Diagonal `k` pairs window `i` with window `i ± k` following the
-/// STOMP dot-product recurrence from the seed `QT[0][k]`; `LEFT` selects
-/// the left-profile variant (only the later window of each pair is
-/// updated, so every entry sees exactly the candidates preceding it).
-/// Every lane computes the exact scalar operation chain and every merge
-/// goes through [`merge_cell`]'s order-independent rule, so lane grouping,
-/// row blocking, and band boundaries are all invisible bit for bit.
-#[allow(clippy::too_many_arguments)]
-#[inline(always)]
-fn fill_band_lanes<L: F64Lanes, S: LaneScorer, const LEFT: bool>(
-    x: &[f64],
-    m: usize,
-    count: usize,
-    excl: usize,
-    first_row: &[f64],
-    scorer: &S,
-    band: Range<usize>,
-    scores: &mut [f64],
-    index: &mut [usize],
-    qt_save: &mut Vec<f64>,
-) {
-    qt_save.clear();
-    qt_save.resize(band.len(), 0.0);
-    let mut rb = 0usize;
-    while rb < count {
-        let re = (rb + ROW_BLOCK).min(count);
-        let mut d = band.start;
-        while d < band.end {
-            let k = excl + d;
-            let qs = &mut qt_save[d - band.start..];
-            // A full lane group needs LANES diagonals left in the band and
-            // a diagonal long enough for at least one lockstep row.
-            let grouped = band.end - d >= L::LANES
-                && if LEFT {
-                    k + L::LANES < count
-                } else {
-                    k + L::LANES <= count
-                };
-            if !grouped {
-                let (lo, hi) = if LEFT { (k, count) } else { (0, count - k) };
-                scalar_rows::<S, LEFT>(
-                    x,
-                    m,
-                    first_row,
-                    scorer,
-                    k,
-                    rb.max(lo)..re.min(hi),
-                    &mut qs[0],
-                    scores,
-                    index,
-                );
-                d += 1;
-                continue;
-            }
-            let qs = &mut qs[..L::LANES];
-            if LEFT {
-                left_group_rows::<L, S>(x, m, first_row, scorer, k, rb..re, qs, scores, index);
-            } else {
-                self_group_rows::<L, S>(
-                    x,
-                    m,
-                    count,
-                    first_row,
-                    scorer,
-                    k,
-                    rb..re,
-                    qs,
-                    scores,
-                    index,
-                );
-            }
-            d += L::LANES;
-        }
-        rb = re;
-    }
-}
-
 /// One walk over bands of diagonals — the self-join, the left profile, or
-/// the prefix join — generic over the lane type so [`fill_band`] can
-/// monomorphize it per SIMD backend and [`scan_bands`] can fan any of them
-/// out over the same pooled buffers and merge rule.
+/// the prefix join. [`BandKernel::fill`] is shared: it crosses the walk's
+/// rows one [`ROW_BLOCK`] at a time and, within a block, covers the band in
+/// lockstep groups of [`GROUPS`]·`LANES` diagonals, then of `LANES`, then
+/// one diagonal at a time, as far as each fits. Every lane computes the
+/// exact scalar operation chain and every merge goes through
+/// [`merge_cell`]'s order-independent rule, so group widths, row blocks and
+/// band boundaries are all invisible bit for bit. Generic over the lane
+/// type so [`fill_band`] can monomorphize it per SIMD backend and
+/// [`scan_bands`] can fan any of them out over the same pooled buffers.
 trait BandKernel: Sync {
     /// Profile slots the walk writes: the worker buffers' length.
     fn rows(&self) -> usize;
     /// Number of diagonals the bands partition.
     fn diagonals(&self) -> usize;
+    /// The rows the walk crosses, in series windows.
+    fn row_span(&self) -> Range<usize>;
+    /// Diagonal of band offset `d`.
+    fn diagonal(&self, d: usize) -> usize;
+    /// The rows on which diagonal `k` has a cell.
+    fn live(&self, k: usize) -> Range<usize>;
+    /// Whether the diagonals `k..k + width` share at least one row on which
+    /// all of them are past their seed row: a lockstep group needs one.
+    fn lockstep(&self, k: usize, width: usize) -> bool;
+    /// Scalar walk of diagonal `k` over `rows` (a subrange of `live(k)`):
+    /// the diagonal's first row seeds `qt`, later rows advance the STOMP
+    /// recurrence `QT[i+1][j+1] = QT[i][j] − x[i]·x[j] + x[i+m]·x[j+m]` in
+    /// place, so a diagonal can be walked in disjoint row blocks with `qt`
+    /// carried between them.
+    fn walk(
+        &self,
+        k: usize,
+        rows: Range<usize>,
+        qt: &mut f64,
+        scores: &mut [f64],
+        index: &mut [usize],
+    );
+    /// Walks the diagonals `k..k + N·LANES` over `rows` as `N` lane groups
+    /// advancing together, with `qs` (`N·LANES` long) carrying their dot
+    /// products across row blocks; lanes outside their lockstep rows run on
+    /// [`BandKernel::walk`].
+    fn group_rows<L: F64Lanes, const N: usize>(
+        &self,
+        k: usize,
+        rows: Range<usize>,
+        qs: &mut [f64],
+        scores: &mut [f64],
+        index: &mut [usize],
+    );
+
     /// Walks the diagonals of `band` into one worker's buffers.
-    fn fill<L: F64Lanes>(&self, band: Range<usize>, space: &mut BandSpace);
+    #[inline(always)]
+    fn fill<L: F64Lanes>(&self, band: Range<usize>, space: &mut BandSpace) {
+        let BandSpace {
+            scores,
+            index,
+            qt_save,
+        } = space;
+        qt_save.clear();
+        qt_save.resize(band.len(), 0.0);
+        let span = self.row_span();
+        let (wide, narrow) = (GROUPS * L::LANES, L::LANES);
+        let mut rb = span.start;
+        while rb < span.end {
+            let re = (rb + ROW_BLOCK).min(span.end);
+            let mut d = band.start;
+            while d < band.end {
+                let k = self.diagonal(d);
+                let qs = &mut qt_save[d - band.start..];
+                let left = band.end - d;
+                if left >= wide && self.lockstep(k, wide) {
+                    self.group_rows::<L, GROUPS>(k, rb..re, &mut qs[..wide], scores, index);
+                    d += wide;
+                } else if left >= narrow && self.lockstep(k, narrow) {
+                    self.group_rows::<L, 1>(k, rb..re, &mut qs[..narrow], scores, index);
+                    d += narrow;
+                } else {
+                    let live = self.live(k);
+                    let rows = rb.max(live.start)..re.min(live.end);
+                    self.walk(k, rows, &mut qs[0], scores, index);
+                    d += 1;
+                }
+            }
+            rb = re;
+        }
+    }
+}
+
+/// Loads `N` lane groups of carried dot products from `qs`.
+#[inline(always)]
+fn load_groups<L: F64Lanes, const N: usize>(qs: &[f64]) -> [L; N] {
+    assert!(qs.len() >= N * L::LANES);
+    // SAFETY: group `n` reads `qs[n·LANES..(n + 1)·LANES]`, in bounds.
+    std::array::from_fn(|n| unsafe { L::load(qs.as_ptr().add(n * L::LANES)) })
+}
+
+/// Stores `N` lane groups of dot products back to `qs`.
+#[inline(always)]
+fn store_groups<L: F64Lanes, const N: usize>(qt: &[L; N], qs: &mut [f64]) {
+    assert!(qs.len() >= N * L::LANES);
+    for (n, q) in qt.iter().enumerate() {
+        // SAFETY: as for the loads of `load_groups`.
+        unsafe { q.store(qs.as_mut_ptr().add(n * L::LANES)) };
+    }
 }
 
 /// The self-join (`LEFT = false`) or left-profile walk of [`run_scan`].
+/// Diagonal `k` pairs window `i` with window `i + k` (the self-join, which
+/// updates both windows) or `i − k` (the left profile, which updates only
+/// the later one, so every entry sees exactly the candidates preceding it).
 struct DiagScan<'a, S, const LEFT: bool> {
     x: &'a [f64],
     m: usize,
@@ -618,6 +489,143 @@ struct DiagScan<'a, S, const LEFT: bool> {
     scorer: S,
 }
 
+impl<S: LaneScorer, const LEFT: bool> DiagScan<'_, S, LEFT> {
+    /// Lockstep walk of the self-join diagonals `k..k + N·LANES` over
+    /// `rows`. At row `i` group `n`'s partners are the `LANES` consecutive
+    /// windows from `j0 = i + k + n·LANES`, so the recurrence inputs, the
+    /// scorer tables and the partner-side profile slots are all contiguous
+    /// vector loads. The last lane's diagonal is the shortest and bounds the
+    /// lockstep rows; lane `g` outlives it by `N·LANES − 1 − g` rows, which
+    /// a ragged epilogue finishes on the scalar walk from the carried `qt`.
+    #[inline(always)]
+    fn self_group_rows<L: F64Lanes, const N: usize>(
+        &self,
+        k: usize,
+        rows: Range<usize>,
+        qs: &mut [f64],
+        scores: &mut [f64],
+        index: &mut [usize],
+    ) {
+        let (x, m, scorer) = (self.x, self.m, &self.scorer);
+        let width = N * L::LANES;
+        let vec_end = self.count - (k + width - 1);
+        let mut qt: [L; N];
+        if rows.start == 0 {
+            // Row 0 seeds every lane straight from the precomputed
+            // dot-product row and, like the scalar seed, scores both sides
+            // of each pair.
+            // SAFETY: `k + width <= count <= first_row.len()` (lockstep).
+            qt = std::array::from_fn(|n| unsafe {
+                L::load(self.first_row.as_ptr().add(k + n * L::LANES))
+            });
+            for (n, &q) in qt.iter().enumerate() {
+                let j0 = k + n * L::LANES;
+                // SAFETY: the scorer tables span every window, and the
+                // lanes' columns `j0..j0 + LANES` are windows.
+                let s = unsafe { scorer.score_lanes::<L, true>(0, j0, q) };
+                merge_lanes(scores, index, 0, s, |g| j0 + g);
+                merge_partners(scores, index, j0, s, 0);
+            }
+        } else {
+            qt = load_groups::<L, N>(qs);
+        }
+        for i in rows.start.max(1)..rows.end.min(vec_end) {
+            let (xi, xim) = (L::splat(x[i - 1]), L::splat(x[i + m - 1]));
+            let mut s = [L::splat(0.0); N];
+            for (n, (q, sn)) in qt.iter_mut().zip(&mut s).enumerate() {
+                let j0 = i + k + n * L::LANES;
+                // SAFETY: below `vec_end` every lane's partner
+                // `j0 + g < count`, so `x[j0 − 1 .. j0 + m − 1 + LANES]`
+                // and the scorer tables are in bounds.
+                unsafe {
+                    let xl = L::load(x.as_ptr().add(j0 - 1));
+                    let xh = L::load(x.as_ptr().add(j0 + m - 1));
+                    *q = q.sub(xi.mul(xl)).add(xim.mul(xh));
+                    *sn = scorer.score_lanes::<L, true>(i, j0, *q);
+                }
+            }
+            // one gate for the row slot and every partner slot (see
+            // `any_le`); the partners' slots only fall during the row too
+            let mut hit = any_le(&s, L::splat(scores[i]));
+            for (n, sn) in s.iter().enumerate() {
+                // SAFETY: `j0 + LANES <= count` below `vec_end`.
+                let cur = unsafe { L::load(scores.as_ptr().add(i + k + n * L::LANES)) };
+                hit |= sn.le_mask(cur) != 0;
+            }
+            if hit {
+                for (n, &sn) in s.iter().enumerate() {
+                    let j0 = i + k + n * L::LANES;
+                    merge_lanes(scores, index, i, sn, |g| j0 + g);
+                    merge_partners(scores, index, j0, sn, i);
+                }
+            }
+        }
+        store_groups(&qt, qs);
+        for (g, q) in qs.iter_mut().enumerate().take(width - 1) {
+            let lane = rows.start.max(vec_end)..rows.end.min(self.count - (k + g));
+            self.walk(k + g, lane, q, scores, index);
+        }
+    }
+
+    /// Lockstep walk of the left-profile diagonals `k..k + N·LANES` over
+    /// `rows`. Lane `g` of group `n` pairs row `i` with window
+    /// `i − k − n·LANES − g`: the columns descend as the lane index ascends,
+    /// so the column-side loads are reversed. Diagonal `k + g` only comes
+    /// alive at row `k + g`, so a staggered prologue walks each lane on the
+    /// scalar walk until every lane is live; then the lanes advance in
+    /// lockstep to the end of the series (left-profile diagonals all end at
+    /// row `count`, so there is no ragged epilogue).
+    #[inline(always)]
+    fn left_group_rows<L: F64Lanes, const N: usize>(
+        &self,
+        k: usize,
+        rows: Range<usize>,
+        qs: &mut [f64],
+        scores: &mut [f64],
+        index: &mut [usize],
+    ) {
+        let (x, m, scorer) = (self.x, self.m, &self.scorer);
+        let width = N * L::LANES;
+        let vec_start = k + width;
+        for (g, q) in qs.iter_mut().enumerate().take(width) {
+            let lane = rows.start.max(k + g)..rows.end.min(vec_start);
+            self.walk(k + g, lane, q, scores, index);
+        }
+        let start = rows.start.max(vec_start);
+        if start >= rows.end {
+            return;
+        }
+        let mut qt = load_groups::<L, N>(qs);
+        for i in start..rows.end {
+            let (xi, xim) = (L::splat(x[i - 1]), L::splat(x[i + m - 1]));
+            let mut s = [L::splat(0.0); N];
+            for (n, (q, sn)) in qt.iter_mut().zip(&mut s).enumerate() {
+                let j0 = i - k - n * L::LANES;
+                // lane g reads x[j0 − g − 1]: reversed loads keep lane order
+                // while the addresses descend. From `vec_start` on,
+                // `base = j0 − LANES >= 0`.
+                let base = j0 - L::LANES;
+                // SAFETY: the highest read `base + m + LANES − 1 = j0 + m − 1`
+                // is below `i + m − 1 < x.len()`, and the lanes' columns
+                // `j0 + 1 − LANES ..= j0` are windows.
+                unsafe {
+                    let xl = L::load_reversed(x.as_ptr().add(base));
+                    let xh = L::load_reversed(x.as_ptr().add(base + m));
+                    *q = q.sub(xi.mul(xl)).add(xim.mul(xh));
+                    *sn = scorer.score_lanes::<L, false>(i, j0, *q);
+                }
+            }
+            if any_le(&s, L::splat(scores[i])) {
+                for (n, &sn) in s.iter().enumerate() {
+                    let j0 = i - k - n * L::LANES;
+                    merge_lanes(scores, index, i, sn, |g| j0 - g);
+                }
+            }
+        }
+        store_groups(&qt, qs);
+    }
+}
+
 impl<S: LaneScorer, const LEFT: bool> BandKernel for DiagScan<'_, S, LEFT> {
     fn rows(&self) -> usize {
         self.count
@@ -625,20 +633,80 @@ impl<S: LaneScorer, const LEFT: bool> BandKernel for DiagScan<'_, S, LEFT> {
     fn diagonals(&self) -> usize {
         self.count.saturating_sub(self.excl)
     }
+    fn row_span(&self) -> Range<usize> {
+        0..self.count
+    }
     #[inline(always)]
-    fn fill<L: F64Lanes>(&self, band: Range<usize>, space: &mut BandSpace) {
-        fill_band_lanes::<L, S, LEFT>(
-            self.x,
-            self.m,
-            self.count,
-            self.excl,
-            self.first_row,
-            &self.scorer,
-            band,
-            &mut space.scores,
-            &mut space.index,
-            &mut space.qt_save,
-        );
+    fn diagonal(&self, d: usize) -> usize {
+        self.excl + d
+    }
+    #[inline(always)]
+    fn live(&self, k: usize) -> Range<usize> {
+        if LEFT {
+            k..self.count
+        } else {
+            0..self.count - k
+        }
+    }
+    #[inline(always)]
+    fn lockstep(&self, k: usize, width: usize) -> bool {
+        // the self-join's last lane must have a row, the left profile's a
+        // row past its seed
+        if LEFT {
+            k + width < self.count
+        } else {
+            k + width <= self.count
+        }
+    }
+    #[inline(always)]
+    fn walk(
+        &self,
+        k: usize,
+        rows: Range<usize>,
+        qt: &mut f64,
+        scores: &mut [f64],
+        index: &mut [usize],
+    ) {
+        let (x, m, scorer) = (self.x, self.m, &self.scorer);
+        let mut i = rows.start;
+        let seed_row = if LEFT { k } else { 0 };
+        if i <= seed_row && seed_row < rows.end {
+            *qt = self.first_row[k];
+            if LEFT {
+                let s = scorer.score(k, 0, *qt);
+                merge_cell(scores, index, k, s, 0);
+            } else {
+                let s = scorer.score(0, k, *qt);
+                merge_cell(scores, index, 0, s, k);
+                merge_cell(scores, index, k, s, 0);
+            }
+            i = seed_row + 1;
+        }
+        while i < rows.end {
+            let j = if LEFT { i - k } else { i + k };
+            *qt = *qt - x[i - 1] * x[j - 1] + x[i + m - 1] * x[j + m - 1];
+            let s = scorer.score(i, j, *qt);
+            merge_cell(scores, index, i, s, j);
+            if !LEFT {
+                merge_cell(scores, index, j, s, i);
+            }
+            i += 1;
+        }
+    }
+    #[inline(always)]
+    fn group_rows<L: F64Lanes, const N: usize>(
+        &self,
+        k: usize,
+        rows: Range<usize>,
+        qs: &mut [f64],
+        scores: &mut [f64],
+        index: &mut [usize],
+    ) {
+        if LEFT {
+            self.left_group_rows::<L, N>(k, rows, qs, scores, index);
+        } else {
+            self.self_group_rows::<L, N>(k, rows, qs, scores, index);
+        }
     }
 }
 
@@ -687,11 +755,30 @@ impl<S: LaneScorer> JoinScan<'_, S> {
             self.test_row[self.train_len - k]
         }
     }
+}
 
-    /// Scalar walk of diagonal `k` over `rows` (a subrange of
-    /// `lo(k)..hi(k)`): the first row seeds `qt`, later rows advance the
-    /// STOMP recurrence in place, so a diagonal can be walked in disjoint
-    /// row blocks with `qt` carried between them.
+impl<S: LaneScorer> BandKernel for JoinScan<'_, S> {
+    fn rows(&self) -> usize {
+        self.count - self.train_len
+    }
+    fn diagonals(&self) -> usize {
+        self.count - self.m
+    }
+    fn row_span(&self) -> Range<usize> {
+        self.train_len..self.count
+    }
+    #[inline(always)]
+    fn diagonal(&self, d: usize) -> usize {
+        self.m + d
+    }
+    #[inline(always)]
+    fn live(&self, k: usize) -> Range<usize> {
+        self.lo(k)..self.hi(k)
+    }
+    #[inline(always)]
+    fn lockstep(&self, k: usize, width: usize) -> bool {
+        self.lo(k + width - 1) + 1 < self.hi(k)
+    }
     #[inline(always)]
     fn walk(
         &self,
@@ -718,15 +805,15 @@ impl<S: LaneScorer> JoinScan<'_, S> {
         }
     }
 
-    /// Lockstep walk of the diagonal group `k..k+LANES` over `rows`. Lane
-    /// `g` pairs row `i` with train window `i − k − g`, so the column-side
-    /// loads are reversed, as in [`left_group_rows`]. Lane `g` is live on
-    /// `lo(k+g)..hi(k+g)`; both bounds rise with `g`, so a staggered scalar
-    /// prologue walks each lane (its seed row included) until the last lane
-    /// is live, the lanes advance together until lane 0 ends, and a ragged
-    /// scalar epilogue finishes the later lanes.
+    /// Lane `g` of group `n` pairs row `i` with train window
+    /// `i − k − n·LANES − g`, so the column-side loads are reversed, as in
+    /// the left profile. Lane `g` is live on `lo(k + g)..hi(k + g)`; both
+    /// bounds rise with `g`, so a staggered scalar prologue walks each lane
+    /// (its seed row included) until the last lane is live, the lanes
+    /// advance together until lane 0 ends, and a ragged scalar epilogue
+    /// finishes the later lanes.
     #[inline(always)]
-    fn group_rows<L: F64Lanes>(
+    fn group_rows<L: F64Lanes, const N: usize>(
         &self,
         k: usize,
         rows: Range<usize>,
@@ -734,91 +821,49 @@ impl<S: LaneScorer> JoinScan<'_, S> {
         scores: &mut [f64],
         index: &mut [usize],
     ) {
-        let (x, m, t) = (self.x, self.m, self.train_len);
-        let lock_lo = self.lo(k + L::LANES - 1) + 1;
+        let (x, m, t, scorer) = (self.x, self.m, self.train_len, &self.scorer);
+        let width = N * L::LANES;
+        let lock_lo = self.lo(k + width - 1) + 1;
         let lock_hi = self.hi(k);
-        for (g, q) in qs.iter_mut().enumerate().take(L::LANES) {
+        for (g, q) in qs.iter_mut().enumerate().take(width) {
             let lane = rows.start.max(self.lo(k + g))..rows.end.min(lock_lo);
             self.walk(k + g, lane, q, scores, index);
         }
         let (start, end) = (rows.start.max(lock_lo), rows.end.min(lock_hi));
         if start < end {
-            // SAFETY: `qs` holds at least LANES values (the caller slices it).
-            let mut qt = unsafe { L::load(qs.as_ptr()) };
+            let mut qt = load_groups::<L, N>(qs);
             for i in start..end {
-                let j0 = i - k;
-                // Every lane is live, so lane LANES−1's column
-                // `j0 − LANES + 1 ≥ 1`: the reversed loads below start at
-                // `j0 − LANES ≥ 0`, and `j0 + m − 1 < train_len ≤ x.len()`.
-                let base = j0 - L::LANES;
-                // SAFETY: `base .. base + m + LANES` lies inside `x` (above).
-                let (xl, xh) = unsafe {
-                    (
-                        L::load_reversed(x.as_ptr().add(base)),
-                        L::load_reversed(x.as_ptr().add(base + m)),
-                    )
-                };
-                qt = qt
-                    .sub(L::splat(x[i - 1]).mul(xl))
-                    .add(L::splat(x[i + m - 1]).mul(xh));
-                // SAFETY: the scorer tables span every window, and the
-                // lanes' columns `j0 + 1 − LANES ..= j0` are all windows.
-                let s = unsafe { self.scorer.score_lanes::<L, false>(i, j0, qt) };
-                if s.le_mask(L::splat(scores[i - t])) != 0 {
-                    let sa = s.to_array();
-                    for (g, &sv) in sa.iter().enumerate().take(L::LANES) {
-                        merge_cell(scores, index, i - t, sv, j0 - g);
+                let (xi, xim) = (L::splat(x[i - 1]), L::splat(x[i + m - 1]));
+                let mut s = [L::splat(0.0); N];
+                for (n, (q, sn)) in qt.iter_mut().zip(&mut s).enumerate() {
+                    let j0 = i - k - n * L::LANES;
+                    // Every lane is live, so the last lane's column
+                    // `i − k − width + 1 >= 1`: the reversed loads below
+                    // start at `j0 − LANES >= 0`, and lane 0's
+                    // `j0 + m − 1 < train_len <= x.len()`.
+                    let base = j0 - L::LANES;
+                    // SAFETY: `base .. base + m + LANES` lies inside `x`
+                    // (above); the scorer tables span every window, and the
+                    // lanes' columns `j0 + 1 − LANES ..= j0` are windows.
+                    unsafe {
+                        let xl = L::load_reversed(x.as_ptr().add(base));
+                        let xh = L::load_reversed(x.as_ptr().add(base + m));
+                        *q = q.sub(xi.mul(xl)).add(xim.mul(xh));
+                        *sn = scorer.score_lanes::<L, false>(i, j0, *q);
+                    }
+                }
+                if any_le(&s, L::splat(scores[i - t])) {
+                    for (n, &sn) in s.iter().enumerate() {
+                        let j0 = i - k - n * L::LANES;
+                        merge_lanes(scores, index, i - t, sn, |g| j0 - g);
                     }
                 }
             }
-            // SAFETY: as for the load above.
-            unsafe { qt.store(qs.as_mut_ptr()) };
+            store_groups(&qt, qs);
         }
-        for (g, q) in qs.iter_mut().enumerate().take(L::LANES) {
+        for (g, q) in qs.iter_mut().enumerate().take(width) {
             let lane = rows.start.max(lock_hi)..rows.end.min(self.hi(k + g));
             self.walk(k + g, lane, q, scores, index);
-        }
-    }
-}
-
-impl<S: LaneScorer> BandKernel for JoinScan<'_, S> {
-    fn rows(&self) -> usize {
-        self.count - self.train_len
-    }
-    fn diagonals(&self) -> usize {
-        self.count - self.m
-    }
-    /// Band offset `d` is diagonal `k = m + d`. Like [`fill_band_lanes`],
-    /// the band crosses the test rows one [`ROW_BLOCK`] at a time, in lane
-    /// groups wherever a group has a lockstep row, scalar elsewhere.
-    #[inline(always)]
-    fn fill<L: F64Lanes>(&self, band: Range<usize>, space: &mut BandSpace) {
-        let BandSpace {
-            scores,
-            index,
-            qt_save,
-        } = space;
-        qt_save.clear();
-        qt_save.resize(band.len(), 0.0);
-        let mut rb = self.train_len;
-        while rb < self.count {
-            let re = (rb + ROW_BLOCK).min(self.count);
-            let mut d = band.start;
-            while d < band.end {
-                let k = self.m + d;
-                let qs = &mut qt_save[d - band.start..];
-                let grouped =
-                    band.end - d >= L::LANES && self.lo(k + L::LANES - 1) + 1 < self.hi(k);
-                if grouped {
-                    self.group_rows::<L>(k, rb..re, &mut qs[..L::LANES], scores, index);
-                    d += L::LANES;
-                } else {
-                    let rows = rb.max(self.lo(k))..re.min(self.hi(k));
-                    self.walk(k, rows, &mut qs[0], scores, index);
-                    d += 1;
-                }
-            }
-            rb = re;
         }
     }
 }
@@ -961,7 +1006,9 @@ fn scan_profile<S: LaneScorer, const LEFT: bool>(
     }
 }
 
-/// Shared preparation + dispatch for both profile variants. Scorer choice
+/// Shared preparation + dispatch for both profile variants. A non-finite
+/// input is rejected ([`CoreError::NonFinite`]): the window moments are
+/// prefix sums, so one NaN would poison every later window. Scorer choice
 /// is a pure function of the input (`ZNormalized` series with any window
 /// std below the degeneracy epsilon take the exact historical path), and
 /// the SIMD backend is resolved here, once, on the caller's thread — so
@@ -973,6 +1020,7 @@ fn run_scan<const LEFT: bool>(
     ws: &mut StompWorkspace,
     out: &mut MatrixProfile,
 ) -> Result<()> {
+    ensure_finite(x)?;
     let n = x.len();
     let count = tsad_core::windows::subsequence_count(n, m)?;
     if count < 2 {
@@ -1074,6 +1122,9 @@ fn cap_non_finite(profile: &mut [f64]) {
 /// regardless of banding or lane grouping, and every profile update goes
 /// through one order-independent lexicographic merge rule, so the result
 /// is **bitwise identical at every thread count and on every backend**.
+///
+/// A non-finite input is rejected with [`CoreError::NonFinite`] (the first
+/// offending index), as are the left profile's and the prefix join's.
 pub fn stomp_metric(x: &[f64], m: usize, metric: ProfileMetric) -> Result<MatrixProfile> {
     with_workspace(|ws| {
         let mut out = MatrixProfile {
@@ -1170,8 +1221,10 @@ pub fn left_stomp_with(
 /// instead of a per-window MASS call. Scorer choice, SIMD lane groups, band
 /// fan-out and the lexicographic tie rule are those of [`stomp_metric`], so
 /// the result is bitwise identical at every thread count and on every
-/// backend; it matches per-window MASS to rounding.
+/// backend; it matches per-window MASS to rounding. A non-finite input is
+/// rejected with [`CoreError::NonFinite`], as by [`stomp_metric`].
 pub fn prefix_join(x: &[f64], m: usize, train_len: usize) -> Result<MatrixProfile> {
+    ensure_finite(x)?;
     let count = tsad_core::windows::subsequence_count(x.len(), m)?;
     if train_len < m || train_len > x.len() {
         return Err(CoreError::BadParameter {
@@ -1310,16 +1363,7 @@ pub fn stamp(x: &[f64], m: usize) -> Result<MatrixProfile> {
         profile.push(d);
         index.push(j);
     }
-    let max_finite = profile
-        .iter()
-        .copied()
-        .filter(|d| d.is_finite())
-        .fold(0.0f64, f64::max);
-    for p in &mut profile {
-        if !p.is_finite() {
-            *p = max_finite;
-        }
-    }
+    cap_non_finite(&mut profile);
     Ok(MatrixProfile {
         profile,
         index,
@@ -1351,16 +1395,7 @@ pub fn matrix_profile_naive(x: &[f64], m: usize) -> Result<MatrixProfile> {
             }
         }
     }
-    let max_finite = profile
-        .iter()
-        .copied()
-        .filter(|d| d.is_finite())
-        .fold(0.0f64, f64::max);
-    for p in &mut profile {
-        if !p.is_finite() {
-            *p = max_finite;
-        }
-    }
+    cap_non_finite(&mut profile);
     Ok(MatrixProfile {
         profile,
         index,
@@ -1593,6 +1628,23 @@ mod tests {
         assert!(stomp(&[1.0, 2.0, 3.0], 0).is_err());
         assert!(stamp(&[1.0; 4], 4).is_err());
         assert!(matrix_profile_naive(&[1.0; 4], 4).is_err());
+    }
+
+    #[test]
+    fn kernels_reject_non_finite_input() {
+        let mut x: Vec<f64> = (0..300).map(|i| (i as f64 * 0.3).sin()).collect();
+        x[40] = f64::NAN;
+        let nan = CoreError::NonFinite { index: 40 };
+        for metric in [ProfileMetric::ZNormalized, ProfileMetric::Euclidean] {
+            assert_eq!(stomp_metric(&x, 16, metric).unwrap_err(), nan);
+            assert_eq!(left_stomp(&x, 16, metric).unwrap_err(), nan);
+        }
+        assert_eq!(prefix_join(&x, 16, 100).unwrap_err(), nan);
+        x[40] = f64::NEG_INFINITY;
+        assert_eq!(
+            prefix_join(&x, 16, 100).unwrap_err(),
+            CoreError::NonFinite { index: 40 }
+        );
     }
 
     #[test]

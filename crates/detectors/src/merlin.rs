@@ -28,6 +28,7 @@ use std::cell::RefCell;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 use tsad_core::error::{CoreError, Result};
+use tsad_core::series::ensure_finite;
 use tsad_core::simd::{self, Backend};
 use tsad_core::windows::{subsequence_count, MomentsScratch, WindowMoments};
 use tsad_obs::Counter;
@@ -189,8 +190,11 @@ fn drag_phases(
 }
 
 /// DRAG phase 1+2 for one length: the top discord, or `None` if every
-/// subsequence has a neighbor within `r`.
+/// subsequence has a neighbor within `r`. A non-finite input is rejected
+/// with [`CoreError::NonFinite`]: the window moments are prefix sums, so one
+/// NaN would poison every later window and score as distance 0.
 pub fn drag_discord(x: &[f64], m: usize, r: f64) -> Result<Option<(usize, f64)>> {
+    ensure_finite(x)?;
     let count = subsequence_count(x.len(), m)?;
     if count < 2 {
         return Err(CoreError::BadWindow {
@@ -302,7 +306,8 @@ static MERLIN_POOL: ScratchPool<MerlinSpace> = ScratchPool::new();
 
 /// MERLIN: top discord at every length in `min_len ..= max_len`, appended
 /// to `out` in length order. On error `out` is left as it was, and the
-/// error is that of the smallest failing length.
+/// error is that of the smallest failing length; a non-finite input is
+/// rejected up front, as by [`drag_discord`].
 ///
 /// `r` starts at `2√m` (the theoretical maximum z-normalized distance) and
 /// halves until DRAG succeeds; subsequent lengths warm-start from the
@@ -324,6 +329,7 @@ pub fn merlin_into(
     max_len: usize,
     out: &mut Vec<LengthDiscord>,
 ) -> Result<()> {
+    ensure_finite(x)?;
     if min_len == 0 || min_len > max_len {
         return Err(CoreError::BadParameter {
             name: "min_len",
@@ -504,6 +510,17 @@ mod tests {
         assert!(merlin(&x, 0, 10).is_err());
         assert!(merlin(&x, 12, 10).is_err());
         assert!(merlin(&x, 10, 60).is_err());
+    }
+
+    #[test]
+    fn merlin_and_drag_reject_non_finite_input() {
+        let mut x = anomalous_signal();
+        x[40] = f64::NAN;
+        let nan = CoreError::NonFinite { index: 40 };
+        assert_eq!(merlin(&x, 16, 18).unwrap_err(), nan);
+        assert_eq!(drag_discord(&x, 16, 1.0).unwrap_err(), nan);
+        x[40] = f64::INFINITY;
+        assert!(merlin_top(&x, 16, 18).is_err());
     }
 
     #[test]

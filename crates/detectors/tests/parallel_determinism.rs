@@ -7,6 +7,7 @@
 
 use proptest::prelude::*;
 use tsad_core::simd::{self, Backend};
+use tsad_core::CoreError;
 use tsad_detectors::matrix_profile::{left_stomp, prefix_join, stamp, stomp, ProfileMetric};
 use tsad_detectors::merlin::{merlin, merlin_top, LengthDiscord};
 use tsad_parallel::with_threads;
@@ -271,18 +272,14 @@ fn merlin_handles_constant_series_at_every_thread_count() {
 
 #[test]
 fn stomp_handles_nan_series_at_every_thread_count() {
-    // NaNs poison z-normalized distances; the kernel must not panic and the
-    // (degenerate) output must still be thread-count invariant.
+    // A NaN would poison every later window's moments; the kernel rejects
+    // it with the same typed error at every thread count instead.
     let mut x = wavy(300, 5);
     x[150] = f64::NAN;
-    let runs: Vec<_> = THREAD_COUNTS
-        .iter()
-        .map(|&t| {
-            let mp = with_threads(t, || stomp(&x, 12).unwrap());
-            (t, mp.profile, mp.index)
-        })
-        .collect();
-    assert_profiles_bitwise_equal(&runs);
+    for t in THREAD_COUNTS {
+        let err = with_threads(t, || stomp(&x, 12)).unwrap_err();
+        assert_eq!(err, CoreError::NonFinite { index: 150 }, "at {t} threads");
+    }
 }
 
 #[test]

@@ -27,9 +27,7 @@ fn validate(score: &[f64], labels: &Labels) -> Result<(usize, usize)> {
     if score.is_empty() {
         return Err(CoreError::EmptySeries);
     }
-    if let Some(i) = score.iter().position(|v| !v.is_finite()) {
-        return Err(CoreError::NonFinite { index: i });
-    }
+    tsad_core::series::ensure_finite(score)?;
     let positives = labels.anomalous_points();
     let negatives = score.len() - positives;
     Ok((positives, negatives))

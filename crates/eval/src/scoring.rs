@@ -117,9 +117,7 @@ pub fn best_f1_over_thresholds(
     if score.is_empty() {
         return Err(CoreError::EmptySeries);
     }
-    if let Some(i) = score.iter().position(|v| !v.is_finite()) {
-        return Err(CoreError::NonFinite { index: i });
-    }
+    tsad_core::series::ensure_finite(score)?;
     let mut distinct = score.to_vec();
     distinct.sort_by(|a, b| a.total_cmp(b)); // non-finite rejected above
     distinct.dedup();
