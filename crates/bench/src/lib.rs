@@ -2,8 +2,8 @@
 //!
 //! The reproduction harness: every table and figure of Wu & Keogh
 //! (ICDE 2022) as a runnable experiment. The `repro` binary prints each
-//! experiment's table/figure; the Criterion benches under `benches/` time
-//! the computational kernels per experiment.
+//! experiment's table/figure, and its `*-json` subcommands write the
+//! `BENCH_*.json` performance documents that `repro gate` checks.
 //!
 //! | experiment | module | paper artifact |
 //! |---|---|---|

@@ -2,8 +2,7 @@
 //! end-to-end through the member crates' public APIs.
 //!
 //! These use subsampled workloads so they stay fast in debug mode; the
-//! full-size reproductions live in the `repro` binary and the Criterion
-//! benches.
+//! full-size reproductions live in the `repro` binary.
 
 use tsad_core::{Dataset, Labels, Region, TimeSeries};
 use tsad_detectors::baselines::{GlobalZScore, MovingAvgResidual, NaiveLastPoint};

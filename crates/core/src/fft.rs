@@ -224,11 +224,6 @@ impl RfftPlan {
         }
         Self { n, half, twiddles }
     }
-
-    /// The half-size complex plan driving the packed transform.
-    pub fn half_plan(&self) -> &FftPlan {
-        &self.half
-    }
 }
 
 /// Process-wide real-plan store, fixed-size like [`SHARED_PLANS`].
@@ -745,7 +740,7 @@ thread_local! {
 }
 
 /// The FFT cross-correlation path of [`sliding_dot_product`], callable
-/// directly (benches and the crossover tests compare the paths). Runs over
+/// directly (the crossover tests compare the paths). Runs over
 /// the packed real-input transform: two forward half-size FFTs, a packed
 /// pointwise product, one inverse — half the butterfly work of the complex
 /// formulation in [`sliding_dot_product_fft_complex`].

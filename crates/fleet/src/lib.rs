@@ -15,8 +15,10 @@
 //!   `&[(SeriesId, f64)]` batch by shard and fans the shards out over
 //!   `tsad-parallel`. All working memory is reused: in steady state (no
 //!   new series, budgets respected) ingest performs **zero heap
-//!   allocations** at one effective thread — gated by the workspace's
-//!   alloc-tracking benches.
+//!   allocations** at one effective thread — gated by
+//!   `fleet_steady_state_ingest_is_allocation_free` in
+//!   `crates/bench/tests/alloc_free.rs` and by the `allocs_per_point`
+//!   rule on `BENCH_fleet.json`.
 //! * **Memory budgets.** Each shard carries a byte budget; admitting a
 //!   new series evicts least-recently-fed ones first, and
 //!   [`Fleet::evict_idle`] sweeps series that have gone quiet. Eviction

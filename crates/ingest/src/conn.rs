@@ -1212,59 +1212,3 @@ mod tests {
         );
     }
 }
-
-/// Ad-hoc component timings behind `--ignored` (run in release:
-/// `cargo test --release -p tsad-ingest -- --ignored --nocapture`).
-/// Not a gate — the gated numbers live in `BENCH_ingest.json` — but
-/// the quickest way to see where parse-stage time goes.
-#[cfg(test)]
-mod microtime {
-    use super::*;
-
-    #[test]
-    #[ignore]
-    fn time_parse_components() {
-        let mut body = String::new();
-        use std::fmt::Write as _;
-        for i in 0..64u64 {
-            let _ = writeln!(
-                body,
-                "{} {}",
-                i % 4096,
-                ((i * 37) % 4000) as f64 / 100.0 - 20.0
-            );
-        }
-        let req = format!(
-            "POST /ingest HTTP/1.1\r\nContent-Length: {}\r\n\r\n{body}",
-            body.len()
-        );
-        let mut batch = Vec::new();
-        decode_text_body(body.as_bytes(), &mut batch).unwrap();
-        let n = 20_000u32;
-        let t = Instant::now();
-        for _ in 0..n {
-            decode_text_body(body.as_bytes(), &mut batch).unwrap();
-            std::hint::black_box(&batch);
-        }
-        println!(
-            "decode_text_body: {} ns",
-            t.elapsed().as_nanos() / n as u128
-        );
-        let t = Instant::now();
-        for _ in 0..n {
-            std::hint::black_box(parse_head(req.as_bytes(), 8192).unwrap());
-        }
-        println!(
-            "parse_head:       {} ns",
-            t.elapsed().as_nanos() / n as u128
-        );
-        let t = Instant::now();
-        for _ in 0..n {
-            std::hint::black_box(Instant::now());
-        }
-        println!(
-            "Instant::now:     {} ns",
-            t.elapsed().as_nanos() / n as u128
-        );
-    }
-}

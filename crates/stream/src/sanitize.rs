@@ -68,12 +68,6 @@ use crate::StreamingDetector;
 /// Samples replaced or withheld because they were non-finite.
 static SANITIZE_QUARANTINED: Counter = Counter::new("stream.sanitize.quarantined");
 
-/// Reads the process-wide quarantine counter (for tests and experiments;
-/// obs snapshots expose the same value).
-pub fn quarantined_total() -> u64 {
-    SANITIZE_QUARANTINED.get()
-}
-
 /// What to do when a pushed sample is NaN or ±∞.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum NanPolicy {
