@@ -4,9 +4,11 @@
 //! its global allocator and asserts that, after one warm-up call at a
 //! single effective thread, the hot kernels perform **zero** heap
 //! allocations: the FFT plan lookup, the sliding dot product into a
-//! caller-owned buffer, STOMP through its workspace entry point, and the
-//! MERLIN length sweep through `merlin_into`. The prefix join and the
-//! 1-NN detector built on it allocate exactly their outputs.
+//! caller-owned buffer, STOMP through its workspace entry point, the
+//! MERLIN length sweep through `merlin_into`, and one DRAG search through
+//! `drag_discord` (both draw their DRAG buffers from one scratch pool).
+//! The prefix join and the 1-NN detector built on it allocate exactly
+//! their outputs.
 //!
 //! Everything runs under `with_threads(1)`: the zero-allocation contract
 //! is single-threaded by design (scoped worker spawns at higher thread
@@ -129,11 +131,12 @@ fn warm_prefix_join_allocates_only_its_output() {
 
 #[test]
 fn warm_merlin_is_allocation_free() {
-    // MERLIN's contract: with the output list persistent, the per-chunk
-    // partials pooled, and the DRAG buffers thread-local, a warm
-    // single-threaded length sweep performs zero heap allocations — with
-    // observability ON, like every other contract in this file.
-    use tsad_detectors::merlin::merlin_into;
+    // MERLIN's contract: with the output list persistent and the per-worker
+    // partials and DRAG buffers pooled, a warm single-threaded length sweep
+    // performs zero heap allocations — with observability ON, like every
+    // other contract in this file. A warm `drag_discord` takes its buffers
+    // from the same pool, so it allocates nothing either.
+    use tsad_detectors::merlin::{drag_discord, merlin_into};
     let x = series(400, 7);
     with_threads(1, || {
         let mut discords = Vec::new();
@@ -144,6 +147,15 @@ fn warm_merlin_is_allocation_free() {
         });
         assert_eq!(allocs, 0, "warm merlin allocated");
         assert_eq!(discords.len(), 9);
+        let r = discords[4].distance * 0.9;
+        let cold = drag_discord(&x, 20, r).unwrap();
+        let mut warm = None;
+        let allocs = count_allocs(|| {
+            warm = drag_discord(&x, 20, r).unwrap();
+        });
+        assert_eq!(allocs, 0, "warm drag_discord allocated");
+        assert_eq!(warm, cold);
+        assert_eq!(warm.map(|(start, _)| start), Some(discords[4].start));
     });
 }
 

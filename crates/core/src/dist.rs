@@ -39,9 +39,8 @@ pub fn znorm_euclidean(a: &[f64], b: &[f64]) -> Result<f64> {
     }
     let sa = crate::stats::std_dev(a)?;
     let sb = crate::stats::std_dev(b)?;
-    const EPS: f64 = 1e-9;
-    let a_const = sa < EPS;
-    let b_const = sb < EPS;
+    let a_const = sa < FLAT_STD;
+    let b_const = sb < FLAT_STD;
     if a_const && b_const {
         return Ok(0.0);
     }
@@ -52,6 +51,10 @@ pub fn znorm_euclidean(a: &[f64], b: &[f64]) -> Result<f64> {
     let zb = crate::ops::znormalize(b);
     euclidean(&za, &zb)
 }
+
+/// Below this standard deviation [`dot_to_znorm_dist`] treats a window as
+/// constant.
+pub const FLAT_STD: f64 = 1e-9;
 
 /// Converts a sliding dot product `qt` into a z-normalized Euclidean
 /// distance, given query moments (`mq`, `sq`) and window moments
@@ -64,19 +67,95 @@ pub fn znorm_euclidean(a: &[f64], b: &[f64]) -> Result<f64> {
 /// implementations use so flat regions do not spuriously match everything.
 #[inline]
 pub fn dot_to_znorm_dist(qt: f64, m: usize, mq: f64, sq: f64, mt: f64, st: f64) -> f64 {
-    const EPS: f64 = 1e-9;
     let mf = m as f64;
-    let q_const = sq < EPS;
-    let t_const = st < EPS;
+    let q_const = sq < FLAT_STD;
+    let t_const = st < FLAT_STD;
     if q_const && t_const {
         return 0.0;
     }
     if q_const || t_const {
         return (2.0 * mf).sqrt();
     }
-    let corr = (qt - mf * mq * mt) / (mf * sq * st);
-    let d2 = 2.0 * mf * (1.0 - corr.clamp(-1.0, 1.0));
+    let (num, den) = znorm_corr_parts(qt, m, mq, sq, mt, st);
+    corr_to_znorm_dist(num / den, m)
+}
+
+/// The numerator `qt − m·mq·mt` and denominator `m·sq·st` of the Pearson
+/// correlation inside [`dot_to_znorm_dist`], rounded exactly as it rounds
+/// them, so a caller that tests them without dividing shares their bits.
+#[inline(always)]
+pub fn znorm_corr_parts(qt: f64, m: usize, mq: f64, sq: f64, mt: f64, st: f64) -> (f64, f64) {
+    let mf = m as f64;
+    (qt - mf * mq * mt, mf * sq * st)
+}
+
+/// The last step of [`dot_to_znorm_dist`]: the distance `√(2m(1 − corr))`
+/// of a correlation, clamped to `[−1, 1]` first. Every rounding step is
+/// monotone, so the result never rises as `corr` rises.
+#[inline(always)]
+pub fn corr_to_znorm_dist(corr: f64, m: usize) -> f64 {
+    let d2 = 2.0 * m as f64 * (1.0 - corr.clamp(-1.0, 1.0));
     d2.max(0.0).sqrt()
+}
+
+/// The largest `f64` correlation `c` whose distance is not below `t`, that
+/// is `!(corr_to_znorm_dist(c, m) < t)`: `+∞` when every correlation
+/// qualifies (`t <= 0`, or NaN), `−∞` when none does (`t` above the
+/// maximum distance `√(4m)`). Found by bisection over the ordered bit
+/// patterns of `[−1, 1]`, which is exact because the distance never rises
+/// with the correlation.
+pub fn corr_ceiling(t: f64, m: usize) -> f64 {
+    if t.is_nan() || t <= 0.0 {
+        return f64::INFINITY;
+    }
+    if corr_to_znorm_dist(-1.0, m) < t {
+        return f64::NEG_INFINITY;
+    }
+    // Order-preserving map from f64 to i64 (for non-NaN values).
+    let key = |c: f64| {
+        let b = c.to_bits() as i64;
+        if b < 0 {
+            -(b & i64::MAX)
+        } else {
+            b
+        }
+    };
+    let unkey = |k: i64| {
+        if k < 0 {
+            f64::from_bits(((-k) | i64::MIN) as u64)
+        } else {
+            f64::from_bits(k as u64)
+        }
+    };
+    // Invariant: the distance at `lo` reaches `t`, the one at `hi` does
+    // not (at `1.0` it is 0 < t).
+    let (mut lo, mut hi) = (key(-1.0), key(1.0));
+    while hi - lo > 1 {
+        let mid = lo + (hi - lo) / 2;
+        if corr_to_znorm_dist(unkey(mid), m) >= t {
+            lo = mid;
+        } else {
+            hi = mid;
+        }
+    }
+    unkey(lo)
+}
+
+/// A cut for the division-free test `num <= cut * den`: for every finite
+/// `num` and every `den` in `[2^-60, 2^900]`, the `f64` test implies
+/// `num / den <= c` in exact arithmetic, so the rounded `num / den` is at
+/// most `c` too. The cut sits `|c|·2^-50 + 2^-60` below `c`, which covers
+/// the rounding of the product `cut * den` and of the subtraction
+/// (DESIGN.md §11 derives the band). `±∞` pass through.
+#[inline]
+pub fn corr_cut(c: f64) -> f64 {
+    const REL: f64 = 1.0 / (1u64 << 50) as f64;
+    const ABS: f64 = 1.0 / (1u64 << 60) as f64;
+    if c.is_finite() {
+        c - (c.abs() * REL + ABS)
+    } else {
+        c
+    }
 }
 
 /// MASS: the z-normalized Euclidean distance from `query` to every
@@ -261,6 +340,44 @@ mod tests {
             // moments from the wrong window length are rejected
             let wrong = WindowMoments::compute(&series, m + 1).unwrap();
             assert!(mass_with_moments(&series[..m], &wrong, &series, &mut qt, &mut out).is_err());
+        }
+    }
+
+    #[test]
+    fn corr_ceiling_is_the_last_correlation_at_or_beyond_the_distance() {
+        for m in [1usize, 8, 24, 64] {
+            let max = corr_to_znorm_dist(-1.0, m);
+            assert_eq!(corr_ceiling(0.0, m), f64::INFINITY);
+            assert_eq!(corr_ceiling(-3.0, m), f64::INFINITY);
+            assert_eq!(corr_ceiling(f64::NAN, m), f64::INFINITY);
+            assert_eq!(corr_ceiling(max.next_up(), m), f64::NEG_INFINITY);
+            assert_eq!(corr_ceiling(f64::INFINITY, m), f64::NEG_INFINITY);
+            for t in [1e-12, 1e-3, 0.5, 1.0, 3.3, max * 0.999, max] {
+                for t in [t.next_down(), t, t.next_up()] {
+                    if t > max {
+                        continue;
+                    }
+                    let c = corr_ceiling(t, m);
+                    assert!(corr_to_znorm_dist(c, m) >= t, "m={m} t={t}");
+                    assert!(corr_to_znorm_dist(c.next_up(), m) < t, "m={m} t={t}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn corr_cut_stays_below_and_passes_infinities() {
+        assert_eq!(corr_cut(f64::INFINITY), f64::INFINITY);
+        assert_eq!(corr_cut(f64::NEG_INFINITY), f64::NEG_INFINITY);
+        assert!(corr_cut(f64::NAN).is_nan());
+        for c in [
+            -1.0, -0.3, -1e-300, 0.0, 1e-300, 2e-17, 0.25, 0.999_999, 1.0,
+        ] {
+            let cut = corr_cut(c);
+            assert!(cut < c, "{c}");
+            for den in [2f64.powi(-60), 1e-9, 1.0, 24.0, 1e12, 2f64.powi(900)] {
+                assert!(cut * den < c * den, "{c} {den}");
+            }
         }
     }
 

@@ -10,8 +10,8 @@
 //!    that could have a nearest neighbor farther than `r`.
 //! 2. **Refinement**: a second pass computes each surviving candidate's
 //!    true nearest-neighbor distance, discarding it the moment the distance
-//!    drops below `r`, or to the best discord found so far (which it could
-//!    then never beat).
+//!    drops below `r`, or so far that it can no longer beat the best
+//!    discord found so far.
 //!
 //! If `r` was too large (no candidates survive), MERLIN retries with a
 //! smaller `r`; between consecutive lengths it warm-starts `r` from the
@@ -20,13 +20,28 @@
 //! Each pair costs one fused dot product over precomputed window moments
 //! (`crate::pair`, shared with HOT SAX). Both passes are written once over
 //! that dot product and compiled per SIMD backend, dispatched once per
-//! pass. The length sweep runs on `tsad-parallel` workers that claim one
-//! length at a time; results are identical at every thread count.
-
-use std::cell::RefCell;
+//! pass. Four freedoms cut the work without changing a bit of the result
+//! (DESIGN.md §11 argues each one):
+//!
+//! * phase 1 visits windows in SAX-word order, so similar windows meet
+//!   early and eliminate each other while the candidate set is small;
+//! * phase 2 refines the candidates least similar to their phase-1
+//!   partners first, each starting from that partner, and breaks ties in
+//!   favour of the smaller index whatever the visit order;
+//! * a pair whose distance is provably on the far side of the threshold
+//!   (`r` in phase 1, the running nearest-neighbor distance in phase 2) is
+//!   settled without the division and square root, by a correlation test
+//!   with a guard band; only pairs inside the band take the exact path;
+//! * dot products run four at a time against one window, each bitwise
+//!   equal to a lone one.
+//!
+//! The length sweep runs on `tsad-parallel` workers that claim one length
+//! at a time, with their buffers pooled; results are identical at every
+//! thread count.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 
+use tsad_core::dist::{corr_ceiling, corr_cut};
 use tsad_core::error::{CoreError, Result};
 use tsad_core::series::ensure_finite;
 use tsad_core::simd::{self, Backend};
@@ -35,7 +50,7 @@ use tsad_obs::Counter;
 use tsad_parallel::ScratchPool;
 
 use crate::matrix_profile::exclusion_zone;
-use crate::pair::{self, pair_distance, Dot, PairSearch};
+use crate::pair::{self, corr_parts, parts_distance, regular_sigmas, Dot, Lead, PairSearch};
 
 /// DRAG invocations — one per `(length, r)` attempt, so the ratio to the
 /// number of candidate lengths shows how often the `r` halving retried.
@@ -44,9 +59,13 @@ static DRAG_PASSES: Counter = Counter::new("detectors.merlin.drag_passes");
 static WINDOWS_PRUNED: Counter = Counter::new("detectors.merlin.windows_pruned");
 /// Windows that survived phase 1 into the refinement pass.
 static CANDIDATES_KEPT: Counter = Counter::new("detectors.merlin.candidates_kept");
-/// Phase-2 candidates abandoned early: nearest neighbor within `r`, or no
-/// farther than the best discord so far.
+/// Phase-2 candidates abandoned early: nearest neighbor within `r`, or
+/// unable to beat the best discord so far.
 static REFINE_ABANDONED: Counter = Counter::new("detectors.merlin.refine_abandoned");
+/// Window pairs phase 1 compared (each one dot product).
+static PHASE1_PAIRS: Counter = Counter::new("detectors.merlin.phase1_pairs");
+/// Window pairs phase 2 compared (each one dot product).
+static PHASE2_PAIRS: Counter = Counter::new("detectors.merlin.phase2_pairs");
 
 /// A discord found at a specific subsequence length.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -59,31 +78,163 @@ pub struct LengthDiscord {
     pub distance: f64,
 }
 
-/// Reusable per-thread buffers for the DRAG passes: the window moments
-/// (with their prefix-sum scratch) and the candidate set. MERLIN's length
-/// sweep reuses one of these across every candidate length a worker
-/// handles, so the halving retries and the per-length searches stop
-/// allocating once the largest shape has been seen.
+/// Segments of the SAX word that orders phase 1; `4^WORD` words fit the
+/// top 16 bits of a visit key.
+const WORD: usize = 8;
+/// The outer SAX breakpoints `±BREAK` (and 0) of a 4-letter alphabet: the
+/// quartiles of the standard normal.
+const BREAK: f64 = 0.674_489_750_196_081_7;
+/// Words shared by at least this many windows count as equally common in
+/// the phase-1 visit order.
+const COMMON: usize = 16;
+
+/// A candidate's most similar phase-1 partner so far. `score` is the
+/// pair's correlation numerator over the partner's `σ`, which orders the
+/// partners of one candidate by correlation at one multiply per pair. It
+/// only orders phase 2's work, so `f32` precision does, and a window index
+/// past `u32` range is simply not recorded.
+#[derive(Debug, Clone, Copy)]
+struct Closest {
+    score: f32,
+    partner: u32,
+}
+
+impl Closest {
+    const NONE: Closest = Closest {
+        score: f32::NEG_INFINITY,
+        partner: u32::MAX,
+    };
+}
+
+/// DRAG's buffers: the per-length state (window moments, the `σ` of each
+/// regular window, the SAX words and the phase-1 visit order they give),
+/// computed once per length and shared by every `r` retry, and the
+/// per-pass candidate set with each candidate's closest phase-1 partner.
+/// Pooled in [`MerlinSpace`], so a warm sweep or a warm [`drag_discord`]
+/// allocates nothing.
 #[derive(Debug, Default)]
 struct DragScratch {
     moments: WindowMoments,
     mscratch: MomentsScratch,
+    sigs: Vec<f64>,
+    order: Vec<u64>,
     candidates: Vec<usize>,
+    closest: Vec<Closest>,
 }
 
-thread_local! {
-    static DRAG_SCRATCH: RefCell<DragScratch> = RefCell::new(DragScratch::default());
+impl DragScratch {
+    /// Computes the per-length state of `x` at length `m`.
+    fn prepare(&mut self, x: &[f64], m: usize) -> Result<()> {
+        // Size every per-window buffer once for the longest series seen:
+        // each length has its own window count, and growing by one would
+        // double a buffer.
+        let n = x.len();
+        fit(&mut self.moments.means, n);
+        fit(&mut self.moments.stds, n);
+        fit(&mut self.sigs, n);
+        fit(&mut self.order, n);
+        fit(&mut self.candidates, n);
+        fit(&mut self.closest, n);
+        WindowMoments::compute_with(x, m, &mut self.mscratch, &mut self.moments)?;
+        regular_sigmas(&self.moments, &mut self.sigs);
+        self.visit_order(x, m);
+        Ok(())
+    }
+
+    /// Fills `order` with phase 1's visit order at length `m`.
+    ///
+    /// Windows of common SAX words come first, word by word, and within a
+    /// word by index modulo the exclusion zone, so consecutive visits are
+    /// similar but not trivial matches and eliminate each other while the
+    /// candidate set is small. Rare words, where discords live, come last.
+    /// The order decides only the work, not the result.
+    ///
+    /// A word has `WORD` symbols, one per segment `bound[s] .. bound[s +
+    /// 1]` of the window (empty segments, when `m < WORD`, read 0). A
+    /// symbol compares the segment's deviation from the window mean with
+    /// `±BREAK·len·σ` and 0, the z-normalized PAA breakpoints. Running
+    /// segment sums are precise enough for an order.
+    fn visit_order(&mut self, x: &[f64], m: usize) {
+        let count = self.moments.len();
+        let shift = x.iter().sum::<f64>() / x.len() as f64;
+        let mut bound = [0usize; WORD + 1];
+        let mut share = [0.0; WORD];
+        let mut brk = [0.0; WORD];
+        let mut sums = [0.0; WORD];
+        for s in 0..WORD {
+            bound[s + 1] = (s + 1) * m / WORD;
+            let len = (bound[s + 1] - bound[s]) as f64;
+            share[s] = len / m as f64;
+            brk[s] = BREAK * len;
+            sums[s] = x[bound[s]..bound[s + 1]].iter().map(|&v| v - shift).sum();
+        }
+        let mut total: f64 = sums.iter().sum();
+        // Key: word, index modulo the exclusion zone, index, in 16 + 24 +
+        // 24 bits; past 2^24 windows, word and index.
+        let phased = count <= 1 << 24;
+        let index_mask: u64 = if phased { (1 << 24) - 1 } else { (1 << 48) - 1 };
+        let excl = exclusion_zone(m);
+        for (i, &std) in self.moments.stds.iter().enumerate() {
+            if i > 0 {
+                let w = &x[i - 1..i + m];
+                for s in 0..WORD {
+                    sums[s] += w[bound[s + 1]] - w[bound[s]];
+                }
+                total += w[m] - w[0];
+            }
+            let mut word = 0u64;
+            for s in 0..WORD {
+                let dev = sums[s] - share[s] * total;
+                let z = brk[s] * std;
+                word = word * 4 + (dev > -z) as u64 + (dev > 0.0) as u64 + (dev > z) as u64;
+            }
+            let phase = if phased { ((i % excl) as u64) << 24 } else { 0 };
+            self.order.push((word << 48) | phase | i as u64);
+        }
+        self.order.sort_unstable();
+        // Then a stable counting sort by how common each word is, staged
+        // through the candidate buffer, which is empty between passes.
+        let rank = |run: &[u64]| COMMON - run.len().min(COMMON);
+        let mut start = [0usize; COMMON + 2];
+        for run in self.order.chunk_by(|a, b| a >> 48 == b >> 48) {
+            start[rank(run) + 1] += run.len();
+        }
+        for k in 1..start.len() {
+            start[k] += start[k - 1];
+        }
+        self.candidates.resize(count, 0);
+        for run in self.order.chunk_by(|a, b| a >> 48 == b >> 48) {
+            let at = &mut start[rank(run)];
+            for &key in run {
+                self.candidates[*at] = (key & index_mask) as usize;
+                *at += 1;
+            }
+        }
+        self.order.clear();
+        self.order
+            .extend(self.candidates.drain(..).map(|i| i as u64));
+    }
+
+    /// One DRAG pass at radius `r` over the prepared length.
+    fn pass(&mut self, x: &[f64], r: f64, backend: Backend) -> Option<(usize, f64)> {
+        DRAG_PASSES.inc();
+        pair::dispatch(backend, DragPass { x, r, s: self })
+    }
 }
 
-/// The two DRAG passes for one `(m, r)`, over precomputed moments and a
-/// caller-owned candidate buffer; written once and compiled per SIMD
-/// backend through [`pair::dispatch`].
+/// Empties `v` and makes room for `n` items, without the doubling of
+/// `Vec::reserve`.
+fn fit<T>(v: &mut Vec<T>, n: usize) {
+    v.clear();
+    v.reserve_exact(n);
+}
+
+/// The two DRAG passes for one `(m, r)` over a prepared [`DragScratch`];
+/// written once and compiled per SIMD backend through [`pair::dispatch`].
 struct DragPass<'a> {
     x: &'a [f64],
-    m: usize,
     r: f64,
-    moments: &'a WindowMoments,
-    candidates: &'a mut Vec<usize>,
+    s: &'a mut DragScratch,
 }
 
 impl PairSearch for DragPass<'_> {
@@ -91,106 +242,196 @@ impl PairSearch for DragPass<'_> {
 
     #[inline(always)]
     fn run<D: Dot>(self) -> Option<(usize, f64)> {
-        let DragPass {
-            x,
-            m,
-            r,
+        let DragPass { x, r, s } = self;
+        let DragScratch {
             moments,
+            sigs,
+            order,
             candidates,
-        } = self;
+            closest,
+            ..
+        } = s;
+        let (moments, means, sigs) = (&*moments, &moments.means[..], &sigs[..]);
+        let m = moments.window;
         let count = moments.len();
         let excl = exclusion_zone(m);
+        let win = |i: usize| &x[i..i + m];
 
-        // Phase 1: candidate selection, compacting the survivor list in
-        // place with a write cursor.
+        // Phase 1: candidate selection. Window `i` removes candidate `c`
+        // when `d(c, i) < r`, and is itself kept out when `d(i, c) < r`,
+        // each distance oriented as phase 2 computes it. So a window whose
+        // nearest neighbour is at least `r` away is never removed, in any
+        // visit order. `cut` certifies `d >= r` without a division.
+        // A NaN `r` prunes nothing in either phase, as `r = −∞` does.
+        let r = if r.is_nan() { f64::NEG_INFINITY } else { r };
+        let cut = corr_cut(corr_ceiling(r, m));
         candidates.clear();
-        for i in 0..count {
-            let mut is_candidate = true;
-            let mut write = 0;
-            for read in 0..candidates.len() {
-                let c = candidates[read];
-                if i.abs_diff(c) < excl {
-                    candidates[write] = c;
-                    write += 1;
-                    continue;
+        closest.clear();
+        closest.resize(count, Closest::NONE);
+        let mut pairs1 = 0u64;
+        for &i in order.iter() {
+            let i = i as usize;
+            let xi = win(i);
+            let (mean_i, sig_i) = (means[i], sigs[i]);
+            let li = Lead::new(m, mean_i, sig_i);
+            let inv_i = 1.0 / sig_i;
+            let mut lone = true;
+            // Compacts the survivors in place, four compared candidates
+            // at a time; `write` never passes `read`.
+            let n = candidates.len();
+            let (mut read, mut write) = (0, 0);
+            while read < n {
+                let mut block = [0usize; 4];
+                let mut ready = 0;
+                while read < n && ready < 4 {
+                    let c = candidates[read];
+                    read += 1;
+                    if i.abs_diff(c) < excl {
+                        candidates[write] = c;
+                        write += 1;
+                    } else {
+                        block[ready] = c;
+                        ready += 1;
+                    }
                 }
-                let d = pair_distance::<D>(x, m, moments, i, c);
-                if d < r {
-                    // c has a neighbor within r → not a discord; and i
-                    // matched something, so i is not a candidate either.
-                    is_candidate = false;
+                let qt = if ready == 4 {
+                    D::dot4(xi, block.map(win))
                 } else {
+                    let mut qt = [0.0; 4];
+                    for k in 0..ready {
+                        qt[k] = D::dot(xi, win(block[k]));
+                    }
+                    qt
+                };
+                pairs1 += ready as u64;
+                for k in 0..ready {
+                    let (c, qt) = (block[k], qt[k]);
+                    let (mean_c, sig_c) = (means[c], sigs[c]);
+                    let ci = corr_parts(&Lead::new(m, mean_c, sig_c), mean_i, sig_i, qt);
+                    let ic = corr_parts(&li, mean_c, sig_c, qt);
+                    let (keep, ok) = if (ci.0 <= cut * ci.1) & (ic.0 <= cut * ic.1) {
+                        (true, true)
+                    } else {
+                        (
+                            parts_distance(moments, c, i, qt, ci) >= r,
+                            parts_distance(moments, i, c, qt, ic) >= r,
+                        )
+                    };
+                    lone &= ok;
+                    let score = (ci.0 * inv_i) as f32;
+                    let best = &mut closest[c];
+                    if score > best.score && i < u32::MAX as usize {
+                        *best = Closest {
+                            score,
+                            partner: i as u32,
+                        };
+                    }
                     candidates[write] = c;
-                    write += 1;
+                    write += keep as usize;
                 }
             }
             candidates.truncate(write);
-            if is_candidate {
+            if lone {
                 candidates.push(i);
             }
         }
-        // Phase 1's whole point is shrinking the refinement set: windows
-        // that never survive to phase 2 are the "pruned" ones.
+        PHASE1_PAIRS.add(pairs1);
         WINDOWS_PRUNED.add((count - candidates.len()) as u64);
         CANDIDATES_KEPT.add(candidates.len() as u64);
         if candidates.is_empty() {
             return None;
         }
 
-        // Phase 2: refinement. A candidate is abandoned the moment its
-        // running nearest-neighbor distance drops below `r` (a phase-1
-        // false positive) or to the best discord so far: `best` changes
-        // only on a strictly larger distance, so such a candidate can
-        // never replace it.
-        let mut best_loc = 0;
+        // Phase 2: refinement, least similar candidates first, each
+        // starting from its most similar phase-1 partner. `nn` is an exact
+        // minimum whatever the visit order; `nn_cut`, from the correlation
+        // of the pair that set `nn`, certifies `d >= nn`, which could not
+        // lower it. A candidate wins on a larger `nn`, or on an
+        // equal one with a smaller index, so the order cannot change the
+        // winner either. It is abandoned as soon as `nn < r` (a phase-1
+        // false positive) or `nn` can no longer win.
+        let sim = |c: usize| {
+            let Closest { score, partner } = closest[c];
+            if partner == u32::MAX {
+                f64::NEG_INFINITY
+            } else {
+                f64::from(score) / sigs[c]
+            }
+        };
+        candidates.sort_unstable_by(|&a, &b| sim(a).total_cmp(&sim(b)).then(a.cmp(&b)));
+        let mut best_loc = usize::MAX;
         let mut best_dist = f64::NEG_INFINITY;
+        let mut pairs2 = 0u64;
+        let mut abandoned = 0u64;
         'cand: for &c in candidates.iter() {
+            let xc = win(c);
+            let lc = Lead::new(m, means[c], sigs[c]);
+            let partner = match closest[c].partner {
+                u32::MAX => usize::MAX,
+                p => p as usize,
+            };
             let mut nn = f64::INFINITY;
-            for j in 0..count {
-                if j.abs_diff(c) < excl {
-                    continue;
+            let mut nn_cut = f64::NEG_INFINITY;
+            // Tests pair (c, j); abandons the candidate when it can no
+            // longer win.
+            macro_rules! visit {
+                ($j:expr, $qt:expr) => {{
+                    let (j, qt) = ($j, $qt);
+                    pairs2 += 1;
+                    let parts = corr_parts(&lc, means[j], sigs[j], qt);
+                    let certified = parts.0 <= nn_cut * parts.1;
+                    if !certified {
+                        let d = parts_distance(moments, c, j, qt, parts);
+                        if d < nn {
+                            nn = d;
+                            if nn < r || nn < best_dist || (nn == best_dist && c > best_loc) {
+                                abandoned += 1;
+                                continue 'cand;
+                            }
+                            nn_cut = corr_cut(if parts.1.is_nan() {
+                                corr_ceiling(nn, m)
+                            } else {
+                                parts.0 / parts.1
+                            });
+                        }
+                    }
+                }};
+            }
+            if partner != usize::MAX {
+                visit!(partner, D::dot(xc, win(partner)));
+            }
+            for (lo, hi) in [(0, (c + 1).saturating_sub(excl)), (c + excl, count)] {
+                let mut j = lo;
+                while j + 4 <= hi {
+                    let qt = D::dot4(xc, [win(j), win(j + 1), win(j + 2), win(j + 3)]);
+                    for (k, qt) in qt.into_iter().enumerate() {
+                        if j + k != partner {
+                            visit!(j + k, qt);
+                        }
+                    }
+                    j += 4;
                 }
-                let d = pair_distance::<D>(x, m, moments, c, j);
-                if d < nn {
-                    nn = d;
-                    if nn < r || nn <= best_dist {
-                        REFINE_ABANDONED.inc();
-                        continue 'cand;
+                for j in j..hi {
+                    if j != partner {
+                        visit!(j, D::dot(xc, win(j)));
                     }
                 }
             }
-            if nn.is_finite() && nn > best_dist {
+            if nn.is_finite() && (nn > best_dist || (nn == best_dist && c < best_loc)) {
                 best_loc = c;
                 best_dist = nn;
             }
         }
+        PHASE2_PAIRS.add(pairs2);
+        REFINE_ABANDONED.add(abandoned);
         best_dist.is_finite().then_some((best_loc, best_dist))
     }
 }
 
-fn drag_phases(
-    x: &[f64],
-    m: usize,
-    r: f64,
-    moments: &WindowMoments,
-    backend: Backend,
-    candidates: &mut Vec<usize>,
-) -> Option<(usize, f64)> {
-    DRAG_PASSES.inc();
-    pair::dispatch(
-        backend,
-        DragPass {
-            x,
-            m,
-            r,
-            moments,
-            candidates,
-        },
-    )
-}
-
 /// DRAG phase 1+2 for one length: the top discord, or `None` if every
-/// subsequence has a neighbor within `r`. A non-finite input is rejected
+/// subsequence has a neighbor within `r`. The top discord is the earliest
+/// window whose nearest-neighbor distance is the largest, whenever that
+/// distance is at least `r`, bit for bit. A non-finite input is rejected
 /// with [`CoreError::NonFinite`]: the window moments are prefix sums, so one
 /// NaN would poison every later window and score as distance 0.
 pub fn drag_discord(x: &[f64], m: usize, r: f64) -> Result<Option<(usize, f64)>> {
@@ -203,18 +444,13 @@ pub fn drag_discord(x: &[f64], m: usize, r: f64) -> Result<Option<(usize, f64)>>
         });
     }
     let backend = simd::current();
-    DRAG_SCRATCH.with(|scratch| {
-        let scratch = &mut *scratch.borrow_mut();
-        WindowMoments::compute_with(x, m, &mut scratch.mscratch, &mut scratch.moments)?;
-        Ok(drag_phases(
-            x,
-            m,
-            r,
-            &scratch.moments,
-            backend,
-            &mut scratch.candidates,
-        ))
-    })
+    let mut space = MERLIN_POOL.take(MerlinSpace::default);
+    let found = space
+        .drag
+        .prepare(x, m)
+        .map(|()| space.drag.pass(x, r, backend));
+    MERLIN_POOL.put(space);
+    found
 }
 
 /// The top discord at one length, with a warm-started `r` threaded through
@@ -229,6 +465,7 @@ fn discord_at_length(
     x: &[f64],
     m: usize,
     backend: Backend,
+    scratch: &mut DragScratch,
     r_hint: &mut Option<f64>,
 ) -> Result<LengthDiscord> {
     let count = subsequence_count(x.len(), m)?;
@@ -239,39 +476,25 @@ fn discord_at_length(
         });
     }
     let mut r = r_hint.unwrap_or_else(|| 2.0 * (m as f64).sqrt());
-    // Moments are computed once per length; the halving retries and the
-    // exact fallback all reuse them (and the candidate buffer) through the
-    // thread-local scratch.
+    // The per-length state is computed once; the halving retries and the
+    // exact fallback all reuse it.
+    scratch.prepare(x, m)?;
     let mut found = None;
-    DRAG_SCRATCH.with(|scratch| -> Result<()> {
-        let scratch = &mut *scratch.borrow_mut();
-        WindowMoments::compute_with(x, m, &mut scratch.mscratch, &mut scratch.moments)?;
-        for _ in 0..64 {
-            if let Some(hit) =
-                drag_phases(x, m, r, &scratch.moments, backend, &mut scratch.candidates)
-            {
-                found = Some(hit);
-                break;
-            }
-            r *= 0.5;
-            if r < 1e-9 {
-                break;
-            }
+    for _ in 0..64 {
+        if let Some(hit) = scratch.pass(x, r, backend) {
+            found = Some(hit);
+            break;
         }
-        if found.is_none() {
-            // (Near-)degenerate series: fall back to the exact, unpruned
-            // search.
-            found = drag_phases(
-                x,
-                m,
-                0.0,
-                &scratch.moments,
-                backend,
-                &mut scratch.candidates,
-            );
+        r *= 0.5;
+        if r < 1e-9 {
+            break;
         }
-        Ok(())
-    })?;
+    }
+    if found.is_none() {
+        // (Near-)degenerate series: fall back to the exact, unpruned
+        // search.
+        found = scratch.pass(x, 0.0, backend);
+    }
     if let Some((start, distance)) = found {
         *r_hint = Some(distance * 0.99);
         Ok(LengthDiscord {
@@ -291,13 +514,14 @@ fn discord_at_length(
     }
 }
 
-/// Pooled per-worker state for the MERLIN length sweep: the discords of
-/// the lengths a worker claimed, and the smallest length offset it failed
-/// at (if any). Pooling these — together with the thread-local
-/// [`DragScratch`] — makes a warm [`merlin_into`] call fully
-/// allocation-free.
+/// Pooled per-worker state for the MERLIN length sweep: the DRAG buffers,
+/// the discords of the lengths a worker claimed, and the smallest length
+/// offset it failed at (if any). Pooling these makes a warm
+/// [`merlin_into`] or [`drag_discord`] call fully allocation-free, and lets
+/// the workers of a multi-threaded sweep start from grown buffers.
 #[derive(Debug, Default)]
 struct MerlinSpace {
+    drag: DragScratch,
     part: Vec<LengthDiscord>,
     err: Option<(usize, CoreError)>,
 }
@@ -359,7 +583,8 @@ pub fn merlin_into(
                 if offset >= lengths {
                     break;
                 }
-                match discord_at_length(x, min_len + offset, backend, &mut r_hint) {
+                match discord_at_length(x, min_len + offset, backend, &mut space.drag, &mut r_hint)
+                {
                     Ok(d) => space.part.push(d),
                     Err(e) => {
                         // Every smaller offset is already claimed, and its

@@ -7,6 +7,7 @@ use tsad_core::windows::WindowMoments;
 use tsad_core::{Labels, Region, TimeSeries};
 use tsad_detectors::hotsax::{hotsax_discord, HotSaxConfig};
 use tsad_detectors::matrix_profile::{stomp, stomp_metric, ProfileMetric};
+use tsad_detectors::merlin::drag_discord;
 use tsad_detectors::oneliner::{equation, solves, Equation, Expr, OneLiner};
 use tsad_detectors::telemanom::ewma;
 use tsad_detectors::threshold::{discrimination_ratio, top_k_peaks};
@@ -162,6 +163,54 @@ proptest! {
                 .fold(f64::NEG_INFINITY, f64::max);
             prop_assert_eq!(dist.to_bits(), best.to_bits(), "{} m={}", be.name(), m);
             prop_assert_eq!(nn[loc].to_bits(), dist.to_bits(), "{} loc={}", be.name(), loc);
+        }
+    }
+
+    #[test]
+    fn drag_is_the_brute_force_top_discord_iff_it_reaches_r(
+        mut x in signal(60, 160),
+        m in 4usize..16,
+        kind in 0usize..4,
+        at in 0usize..160,
+        span in 1usize..40,
+        probe in 0usize..200,
+    ) {
+        let n = x.len();
+        let at = at % (n - span);
+        match kind {
+            // a large offset: the correlation numerator cancels hard
+            0 => x.iter_mut().for_each(|v| *v = 1e6 + *v * 1e-2),
+            // a flat stretch: constant windows score by convention
+            1 => x[at..at + span].fill(-3.25),
+            // an exact repeat of the series' head
+            2 => {
+                let len = span.min(n - at).min(at);
+                let head = x[..len].to_vec();
+                x[at..at + len].copy_from_slice(&head);
+            }
+            // twin anomalies: the same bump at two places
+            _ => {
+                for (k, b) in [40.0, -90.0, 40.0].into_iter().enumerate() {
+                    x[(at + k) % n] += b;
+                    x[(at + n / 2 + k) % n] += b;
+                }
+            }
+        }
+        let backends = [Backend::Scalar, Backend::Avx2, Backend::Sse2, Backend::Neon];
+        for be in backends.into_iter().filter(|b| b.is_supported()) {
+            let nn = brute_force_nn(&x, m, be);
+            let top = nn.iter().copied().fold(f64::NEG_INFINITY, f64::max);
+            let loc = nn.iter().position(|&d| d == top).unwrap();
+            let other = nn[probe % nn.len()];
+            for r in [top, top.next_down(), top.next_up(), other, 0.0] {
+                let got = simd::with_backend(be, || drag_discord(&x, m, r).unwrap());
+                let want = (top >= r).then_some((loc, top));
+                prop_assert_eq!(
+                    got.map(|(i, d)| (i, d.to_bits())),
+                    want.map(|(i, d)| (i, d.to_bits())),
+                    "{} kind={} m={} r={}", be.name(), kind, m, r
+                );
+            }
         }
     }
 
