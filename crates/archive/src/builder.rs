@@ -10,7 +10,7 @@ use tsad_synth::signal::{gaussian_noise, sine, standard_normal};
 use tsad_synth::{gait, inject, insect, physio, resp};
 
 use crate::error::Result;
-use crate::validate::{validate, ValidationConfig, Violation};
+use crate::validate::{validate_structure, ValidationConfig};
 
 /// Difficulty of an archive entry (drives anomaly subtlety).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -277,8 +277,10 @@ fn respiration_event(seed: u64, difficulty: Difficulty) -> Dataset {
 }
 
 /// Builds a full archive of `count` entries cycling domains and
-/// difficulties, validating each entry; entries failing validation are
-/// regenerated with a fresh seed (up to a few retries).
+/// difficulties; entries failing the structural checks
+/// ([`validate_structure`]) are regenerated with a fresh seed (up to a few
+/// retries). The novelty check of [`crate::validate::validate`] is not
+/// run: its findings never rejected an entry.
 pub fn build_archive(seed: u64, count: usize) -> Result<Vec<ArchiveEntry>> {
     let domains = [
         Domain::Physiology,
@@ -312,17 +314,10 @@ pub fn build_archive(seed: u64, count: usize) -> Result<Vec<ArchiveEntry>> {
                 domain,
                 difficulty,
             );
-            let violations = validate(&candidate.dataset, &config)?;
             // Hard entries may trip the novelty check because of their high
-            // noise; only structural violations are fatal.
-            let fatal = violations.iter().any(|v| {
-                matches!(
-                    v,
-                    Violation::NotSingleAnomaly { .. }
-                        | Violation::AnomalyTooEarly { .. }
-                        | Violation::TooShort { .. }
-                )
-            });
+            // noise, so only the structural violations are fatal, and only
+            // they are checked.
+            let fatal = !validate_structure(&candidate.dataset, &config).is_empty();
             if !fatal {
                 entry = Some(candidate);
                 break;

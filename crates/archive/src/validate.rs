@@ -15,7 +15,7 @@
 //!   distances.
 
 use tsad_core::dist::mass_with_moments;
-use tsad_core::windows::{subsequence_count, WindowMoments};
+use tsad_core::windows::WindowMoments;
 use tsad_core::Dataset;
 
 use crate::error::{ArchiveError, Result};
@@ -79,36 +79,84 @@ impl std::fmt::Display for Violation {
     }
 }
 
-/// Runs all archive checks; returns the violations (empty = valid).
+/// Runs all archive checks; returns the violations (empty = valid): the
+/// structural checks of [`validate_structure`], then, when they leave a
+/// usable series and train prefix, the novelty check.
 pub fn validate(dataset: &Dataset, config: &ValidationConfig) -> Result<Vec<Violation>> {
-    let mut violations = Vec::new();
+    let mut violations = validate_structure(dataset, config);
+    let unusable = violations.iter().any(|v| {
+        matches!(
+            v,
+            Violation::NotSingleAnomaly { .. } | Violation::TooShort { .. }
+        )
+    });
+    if !unusable {
+        uncovered_test_modes(dataset, config, &mut violations)?;
+    }
+    Ok(violations)
+}
+
+/// The cheap, structural checks of [`validate`], in its order and with its
+/// values: exactly one labeled region, a series long enough for the
+/// checks, the anomaly at least `margin` past the train prefix, and a train
+/// prefix of at least `2·window` points. These are the violations an
+/// archive cannot ship with; [`crate::builder::build_archive`] runs only
+/// them.
+///
+/// The last check stands in for the novelty check's own `TooShort`, which
+/// it reports when none of its sampled train windows has a finite nearest
+/// neighbour at least `window` away. Window 0 is always sampled, and with
+/// `train_len >= 2·window` the window at `window` is such a neighbour;
+/// below that no two train windows are that far apart. Every sampled
+/// distance is finite, even for non-finite input: `dot_to_znorm_dist`
+/// maps every correlation, NaN included, to a value in `[0, √(4m)]`. So
+/// the novelty check reports `TooShort` exactly when `train_len <
+/// 2·window`.
+pub fn validate_structure(dataset: &Dataset, config: &ValidationConfig) -> Vec<Violation> {
     let labels = dataset.labels();
     if labels.region_count() != 1 {
-        violations.push(Violation::NotSingleAnomaly {
+        return vec![Violation::NotSingleAnomaly {
             regions: labels.region_count(),
-        });
-        return Ok(violations);
+        }];
     }
     let anomaly = labels.regions()[0];
     let train_len = dataset.train_len();
-    let x = dataset.values();
+    let len = dataset.values().len();
     let m = config.window;
-
     let needed = train_len + 3 * m;
-    if x.len() < needed || subsequence_count(train_len.max(1), m.min(train_len.max(1))).is_err() {
-        violations.push(Violation::TooShort {
-            len: x.len(),
-            needed,
-        });
-        return Ok(violations);
+    if len < needed || m == 0 {
+        return vec![Violation::TooShort { len, needed }];
     }
-
+    let mut violations = Vec::new();
     if anomaly.start < train_len + config.margin {
         violations.push(Violation::AnomalyTooEarly {
             start: anomaly.start,
             required: train_len + config.margin,
         });
     }
+    if train_len < 2 * m {
+        violations.push(Violation::TooShort {
+            len: train_len,
+            needed: 2 * m,
+        });
+    }
+    violations
+}
+
+/// The novelty check of [`validate`], for a dataset that passed
+/// [`validate_structure`]'s single-region and length checks: appends an
+/// [`Violation::UncoveredTestMode`] for every sampled normal test window
+/// whose nearest train window is farther than `novelty_ratio` times the
+/// train prefix's own 95th-percentile nearest-neighbour distance.
+fn uncovered_test_modes(
+    dataset: &Dataset,
+    config: &ValidationConfig,
+    violations: &mut Vec<Violation>,
+) -> Result<()> {
+    let anomaly = dataset.labels().regions()[0];
+    let train_len = dataset.train_len();
+    let x = dataset.values();
+    let m = config.window;
 
     // Train-internal novelty scale: NN distance of sampled train windows to
     // the rest of the train prefix.
@@ -121,7 +169,7 @@ pub fn validate(dataset: &Dataset, config: &ValidationConfig) -> Result<Vec<Viol
             len: train_len,
             needed: 2 * m,
         });
-        return Ok(violations);
+        return Ok(());
     };
     let (mut qt, mut d) = (Vec::new(), Vec::new());
     let mut internal = Vec::new();
@@ -141,11 +189,13 @@ pub fn validate(dataset: &Dataset, config: &ValidationConfig) -> Result<Vec<Viol
         i += hop;
     }
     if internal.is_empty() {
+        // unreachable after `validate_structure` (see its docs); kept so
+        // the novelty check stays total on its own
         violations.push(Violation::TooShort {
             len: train_len,
             needed: 2 * m,
         });
-        return Ok(violations);
+        return Ok(());
     }
     let scale = tsad_core::stats::quantile(&internal, 0.95)?;
     let allowed = (scale * config.novelty_ratio).max(1e-6);
@@ -171,7 +221,7 @@ pub fn validate(dataset: &Dataset, config: &ValidationConfig) -> Result<Vec<Viol
         }
         j += hop_test;
     }
-    Ok(violations)
+    Ok(())
 }
 
 /// Convenience: validate and convert violations into an error.

@@ -25,21 +25,18 @@ pub struct Contest {
 /// Builds a `count`-entry archive and runs the detector panel.
 pub fn run(seed: u64, count: usize) -> tsad_archive::Result<Contest> {
     let archive = build_archive(seed, count)?;
-    let datasets: Vec<Dataset> = archive.iter().map(|e| e.dataset.clone()).collect();
+    let tally = |d: Difficulty| {
+        archive
+            .iter()
+            .filter(|e| e.provenance.difficulty == d)
+            .count()
+    };
     let difficulty_counts = (
-        archive
-            .iter()
-            .filter(|e| e.provenance.difficulty == Difficulty::Easy)
-            .count(),
-        archive
-            .iter()
-            .filter(|e| e.provenance.difficulty == Difficulty::Medium)
-            .count(),
-        archive
-            .iter()
-            .filter(|e| e.provenance.difficulty == Difficulty::Hard)
-            .count(),
+        tally(Difficulty::Easy),
+        tally(Difficulty::Medium),
+        tally(Difficulty::Hard),
     );
+    let datasets: Vec<Dataset> = archive.into_iter().map(|e| e.dataset).collect();
     // The panel members are independent of each other; `par_invoke` keeps
     // the leaderboard rows in this declaration order regardless of which
     // detector finishes first.

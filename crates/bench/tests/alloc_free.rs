@@ -35,6 +35,19 @@ use tsad_detectors::matrix_profile::{
 use tsad_detectors::Detector;
 use tsad_parallel::with_threads;
 
+/// Serializes the tests whose kernels draw band buffers from the STOMP
+/// kernels' shared scratch pool. Run concurrently, one test can hold the
+/// pooled buffers while another's counted call finds the pool empty and
+/// builds fresh ones (three allocations), so the contract would fail for
+/// a reason outside the kernel.
+static BAND_POOL_USERS: std::sync::Mutex<()> = std::sync::Mutex::new(());
+
+fn band_pool_guard() -> std::sync::MutexGuard<'static, ()> {
+    BAND_POOL_USERS
+        .lock()
+        .unwrap_or_else(std::sync::PoisonError::into_inner)
+}
+
 fn series(n: usize, seed: u64) -> Vec<f64> {
     let mut state = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
     (0..n)
@@ -88,6 +101,7 @@ fn warm_sliding_dot_product_is_allocation_free() {
 
 #[test]
 fn warm_stomp_is_allocation_free() {
+    let _pool = band_pool_guard();
     let x = series(1024, 4);
     let m = 64;
     with_threads(1, || {
@@ -111,6 +125,7 @@ fn warm_prefix_join_allocates_only_its_output() {
     // the join's tables and band buffers live in pooled workspaces: a warm
     // call allocates exactly the returned profile and index, and the 1-NN
     // detector on top of it adds only its per-point scores
+    let _pool = band_pool_guard();
     let x = series(1024, 6);
     let (m, train_len) = (64, 512);
     let ts = TimeSeries::new("knn", x.clone()).unwrap();
@@ -204,6 +219,7 @@ fn obs_disabled_recording_is_allocation_free_noop() {
 #[test]
 fn warm_stomp_stays_allocation_free_with_obs_pinned_off() {
     // the kill-switch path must not regress the kernel contract either
+    let _pool = band_pool_guard();
     let x = series(1024, 6);
     let m = 64;
     tsad_obs::with_enabled(false, || {
@@ -277,6 +293,7 @@ fn fleet_steady_state_ingest_is_allocation_free() {
 #[test]
 fn warm_euclidean_stomp_is_allocation_free() {
     // the other scorer path has the same contract
+    let _pool = band_pool_guard();
     let x = series(700, 5);
     let m = 32;
     with_threads(1, || {

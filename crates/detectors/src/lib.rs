@@ -76,34 +76,32 @@ use tsad_core::{Result, TimeSeries};
 /// ignore it. Scores inside the train prefix are implementation-defined but
 /// must not exceed the test-region maximum for a correctly functioning
 /// detector, so evaluation by arg-max over the test region is meaningful.
+///
+/// `locate` answers the archive contest's question — the one most anomalous
+/// test point — and must return exactly what its default body returns: the
+/// first arg-max of `score` over `train_len..`. A detector overrides it
+/// only when it can find that point without every score, as the discord
+/// detectors do with a certified top-1 search
+/// ([`matrix_profile::DiscordDetector`]).
 pub trait Detector {
     /// Short, stable identifier (used in reports and benches).
     fn name(&self) -> &'static str;
 
     /// Per-point anomaly score, same length as `ts`.
     fn score(&self, ts: &TimeSeries, train_len: usize) -> Result<Vec<f64>>;
-}
 
-/// Boxed detectors are detectors, so registry-built
-/// `Box<dyn Detector + Send + Sync>` values slot into anything generic
-/// over `D: Detector` (ensembles, the streaming batch adapter).
-impl<D: Detector + ?Sized> Detector for Box<D> {
-    fn name(&self) -> &'static str {
-        (**self).name()
-    }
-    fn score(&self, ts: &TimeSeries, train_len: usize) -> Result<Vec<f64>> {
-        (**self).score(ts, train_len)
+    /// Location of the single most anomalous test point: the first
+    /// arg-max of [`Detector::score`] over `train_len..`. An error when
+    /// the test region is empty or the scores are misaligned with `ts`.
+    fn locate(&self, ts: &TimeSeries, train_len: usize) -> Result<usize> {
+        score_argmax(self, ts, train_len)
     }
 }
 
-/// Location of the single most anomalous point according to a detector:
-/// the arg-max of its score over the test region (`train_len..`).
-///
-/// This is the primitive the UCR archive evaluation uses: with exactly one
-/// anomaly per dataset, a detector only needs to return the most likely
-/// *location* (§2.3 of the paper).
-pub fn most_anomalous_point(
-    detector: &dyn Detector,
+/// The default [`Detector::locate`]: the first arg-max of the detector's
+/// score over `train_len..`, for overrides to fall back on.
+pub(crate) fn score_argmax<D: Detector + ?Sized>(
+    detector: &D,
     ts: &TimeSeries,
     train_len: usize,
 ) -> Result<usize> {
@@ -119,6 +117,36 @@ pub fn most_anomalous_point(
     let test = &score[train_len..];
     let rel = tsad_core::stats::argmax(test)?;
     Ok(train_len + rel)
+}
+
+/// Boxed detectors are detectors, so registry-built
+/// `Box<dyn Detector + Send + Sync>` values slot into anything generic
+/// over `D: Detector` (ensembles, the streaming batch adapter).
+impl<D: Detector + ?Sized> Detector for Box<D> {
+    fn name(&self) -> &'static str {
+        (**self).name()
+    }
+    fn score(&self, ts: &TimeSeries, train_len: usize) -> Result<Vec<f64>> {
+        (**self).score(ts, train_len)
+    }
+    fn locate(&self, ts: &TimeSeries, train_len: usize) -> Result<usize> {
+        (**self).locate(ts, train_len)
+    }
+}
+
+/// Location of the single most anomalous point according to a detector:
+/// the arg-max of its score over the test region (`train_len..`), as
+/// [`Detector::locate`] finds it.
+///
+/// This is the primitive the UCR archive evaluation uses: with exactly one
+/// anomaly per dataset, a detector only needs to return the most likely
+/// *location* (§2.3 of the paper).
+pub fn most_anomalous_point(
+    detector: &dyn Detector,
+    ts: &TimeSeries,
+    train_len: usize,
+) -> Result<usize> {
+    detector.locate(ts, train_len)
 }
 
 #[cfg(test)]
@@ -147,6 +175,27 @@ mod tests {
     fn most_anomalous_point_errors_on_empty_test() {
         let ts = TimeSeries::new("t", vec![1.0, 2.0]).unwrap();
         assert!(most_anomalous_point(&Spike, &ts, 2).is_err());
+    }
+
+    #[test]
+    fn boxed_detectors_forward_locate() {
+        // a locate that differs from the arg-max shows which body ran
+        struct Fixed;
+        impl Detector for Fixed {
+            fn name(&self) -> &'static str {
+                "fixed"
+            }
+            fn score(&self, ts: &TimeSeries, _train_len: usize) -> Result<Vec<f64>> {
+                Ok(ts.values().to_vec())
+            }
+            fn locate(&self, _ts: &TimeSeries, _train_len: usize) -> Result<usize> {
+                Ok(4)
+            }
+        }
+        let ts = TimeSeries::new("t", vec![9.0, 1.0, 2.0, 7.0, 3.0]).unwrap();
+        let boxed: Box<dyn Detector + Send + Sync> = Box::new(Fixed);
+        assert_eq!(most_anomalous_point(&boxed, &ts, 0).unwrap(), 4);
+        assert_eq!(most_anomalous_point(&Spike, &ts, 0).unwrap(), 0);
     }
 
     #[test]

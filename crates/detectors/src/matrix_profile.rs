@@ -24,6 +24,15 @@
 //! take one group and then the scalar walk. Every lane runs the scalar
 //! operation chain and every merge is order-independent, so the grouping
 //! never changes a bit of the result (DESIGN.md §11).
+//!
+//! The archive contest asks the discord detectors for one location, not a
+//! profile. Their `Detector::locate` runs a certified top-1 search first
+//! (`locate.rs`): a DAMP-style search with direct dot products finds the
+//! candidate, and a proven bound on how far STOMP's rounded scores can
+//! stray from direct ones must separate it from every other window that
+//! reaches the test part. Otherwise, and for degenerate or Euclidean
+//! series, they compute the full profile, so the answer is always the
+//! profile's own arg-max, bit for bit (DESIGN.md §11).
 
 use std::ops::Range;
 
@@ -33,12 +42,24 @@ use tsad_core::series::ensure_finite;
 use tsad_core::simd::{self, Backend, F64Lanes};
 use tsad_core::windows::{MomentsScratch, WindowMoments};
 use tsad_core::{stats, TimeSeries};
-use tsad_obs::Span;
+use tsad_obs::{Counter, Span};
 use tsad_parallel::ScratchPool;
+
+mod locate;
+
+use locate::{certified_location, Join};
 
 /// Wall-clock time each worker spends filling one band of diagonals. The
 /// per-band distribution is what shows whether the band fan-out is balanced.
 static STOMP_BAND_NS: Span = Span::new("detectors.stomp.band_ns");
+/// [`DiscordDetector::locate`] answers certified without the profile.
+static DISCORD_CERTIFIED: Counter = Counter::new("detectors.discord.locate_certified");
+/// [`DiscordDetector::locate`] answers from the full profile.
+static DISCORD_FALLBACK: Counter = Counter::new("detectors.discord.locate_fallback");
+/// [`OnlineDiscordDetector::locate`] answers certified without the profile.
+static LEFT_CERTIFIED: Counter = Counter::new("detectors.left_discord.locate_certified");
+/// [`OnlineDiscordDetector::locate`] answers from the full profile.
+static LEFT_FALLBACK: Counter = Counter::new("detectors.left_discord.locate_fallback");
 
 use crate::Detector;
 
@@ -1444,6 +1465,20 @@ impl Detector for DiscordDetector {
         let mp = stomp_metric(ts.values(), self.window, self.metric)?;
         Ok(mp.point_scores(ts.len()))
     }
+    /// The certified top-1 search of `locate.rs` under the z-normalized
+    /// metric; the full profile's arg-max otherwise or when the search
+    /// cannot prove its answer. Either way the bits of the default.
+    fn locate(&self, ts: &TimeSeries, train_len: usize) -> Result<usize> {
+        if self.metric == ProfileMetric::ZNormalized {
+            let found = certified_location(ts.values(), self.window, train_len, Join::SelfJoin);
+            if let Some(at) = found {
+                DISCORD_CERTIFIED.inc();
+                return Ok(at);
+            }
+        }
+        DISCORD_FALLBACK.inc();
+        crate::score_argmax(self, ts, train_len)
+    }
 }
 
 /// Streaming discord detector: scores each point with the *left* matrix
@@ -1475,6 +1510,18 @@ impl Detector for OnlineDiscordDetector {
     fn score(&self, ts: &TimeSeries, _train_len: usize) -> Result<Vec<f64>> {
         let mp = left_stomp(ts.values(), self.window, self.metric)?;
         Ok(mp.point_scores(ts.len()))
+    }
+    /// As [`DiscordDetector::locate`], over the left profile.
+    fn locate(&self, ts: &TimeSeries, train_len: usize) -> Result<usize> {
+        if self.metric == ProfileMetric::ZNormalized {
+            let found = certified_location(ts.values(), self.window, train_len, Join::Left);
+            if let Some(at) = found {
+                LEFT_CERTIFIED.inc();
+                return Ok(at);
+            }
+        }
+        LEFT_FALLBACK.inc();
+        crate::score_argmax(self, ts, train_len)
     }
 }
 

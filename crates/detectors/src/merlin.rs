@@ -224,7 +224,7 @@ impl DragScratch {
 
 /// Empties `v` and makes room for `n` items, without the doubling of
 /// `Vec::reserve`.
-fn fit<T>(v: &mut Vec<T>, n: usize) {
+pub(crate) fn fit<T>(v: &mut Vec<T>, n: usize) {
     v.clear();
     v.reserve_exact(n);
 }
