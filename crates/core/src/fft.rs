@@ -13,7 +13,7 @@ use std::sync::{Arc, Mutex};
 use tsad_obs::Counter;
 
 use crate::error::{CoreError, Result};
-use crate::simd::{self, Backend, C64Lanes, ScalarC64};
+use crate::simd::{self, Backend, C64Lanes, Isa, Kernel};
 
 /// Plan served from a cache (thread-local mirror or the shared store)
 /// without rebuilding twiddle tables. Covers both complex and real plans.
@@ -313,22 +313,36 @@ fn fft_with_plan_be(data: &mut [Complex], plan: &FftPlan, inverse: bool, backend
         &plan.forward
     };
     let scale = if inverse { Some(1.0 / n as f64) } else { None };
-    match backend {
-        #[cfg(target_arch = "x86_64")]
-        // SAFETY: Avx2 is only dispatched when `is_supported()` held.
-        Backend::Avx2 => unsafe { butterflies_avx2(data, twiddles, scale) },
-        #[cfg(target_arch = "x86_64")]
-        Backend::Sse2 => butterflies_lanes::<simd::SseC64>(data, twiddles, scale),
-        #[cfg(target_arch = "aarch64")]
-        Backend::Neon => butterflies_lanes::<simd::NeonC64>(data, twiddles, scale),
-        _ => butterflies_lanes::<ScalarC64>(data, twiddles, scale),
-    }
+    simd::dispatch(backend, Pass::Butterflies(data, twiddles, scale));
 }
 
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-unsafe fn butterflies_avx2(data: &mut [Complex], twiddles: &[Complex], scale: Option<f64>) {
-    butterflies_lanes::<simd::AvxC64>(data, twiddles, scale);
+/// One vectorized pass of the transforms, run under a backend by
+/// [`simd::dispatch`] over its complex lanes.
+enum Pass<'a> {
+    /// [`butterflies_lanes`] with the stage twiddles and optional scale.
+    Butterflies(&'a mut [Complex], &'a [Complex], Option<f64>),
+    /// [`unpack_forward_lanes`] with the unpack twiddles.
+    UnpackForward(&'a mut [Complex], &'a [Complex]),
+    /// [`unpack_inverse_lanes`] with the unpack twiddles.
+    UnpackInverse(&'a mut [Complex], &'a [Complex]),
+    /// [`spectrum_mul_lanes`] of the first spectrum by the second.
+    SpectrumMul(&'a mut [Complex], &'a [Complex]),
+}
+
+impl Kernel for Pass<'_> {
+    type Output = ();
+
+    #[inline(always)]
+    fn run<I: Isa>(self) {
+        match self {
+            Pass::Butterflies(data, twiddles, scale) => {
+                butterflies_lanes::<I::C>(data, twiddles, scale)
+            }
+            Pass::UnpackForward(out, twiddles) => unpack_forward_lanes::<I::C>(out, twiddles),
+            Pass::UnpackInverse(x, twiddles) => unpack_inverse_lanes::<I::C>(x, twiddles),
+            Pass::SpectrumMul(a, b) => spectrum_mul_lanes::<I::C>(a, b),
+        }
+    }
 }
 
 /// All butterfly stages plus the optional inverse `1/n` scaling, generic
@@ -500,22 +514,7 @@ fn rfft_with_plan(plan: &RfftPlan, out: &mut Vec<Complex>, src: RealSource<'_>, 
     }
     out.resize(h, Complex::default());
     fft_with_plan_be(out, &plan.half, false, backend);
-    match backend {
-        #[cfg(target_arch = "x86_64")]
-        // SAFETY: Avx2 is only dispatched when `is_supported()` held.
-        Backend::Avx2 => unsafe { unpack_forward_avx2(out, &plan.twiddles) },
-        #[cfg(target_arch = "x86_64")]
-        Backend::Sse2 => unpack_forward_lanes::<simd::SseC64>(out, &plan.twiddles),
-        #[cfg(target_arch = "aarch64")]
-        Backend::Neon => unpack_forward_lanes::<simd::NeonC64>(out, &plan.twiddles),
-        _ => unpack_forward_lanes::<ScalarC64>(out, &plan.twiddles),
-    }
-}
-
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-unsafe fn unpack_forward_avx2(out: &mut [Complex], twiddles: &[Complex]) {
-    unpack_forward_lanes::<simd::AvxC64>(out, twiddles);
+    simd::dispatch(backend, Pass::UnpackForward(out, &plan.twiddles));
 }
 
 /// The forward unpack pass: with Z the half transform,
@@ -577,22 +576,7 @@ pub fn packed_spectrum_mul(a: &mut [Complex], b: &[Complex]) {
 
 fn packed_spectrum_mul_be(a: &mut [Complex], b: &[Complex], backend: Backend) {
     debug_assert_eq!(a.len(), b.len());
-    match backend {
-        #[cfg(target_arch = "x86_64")]
-        // SAFETY: Avx2 is only dispatched when `is_supported()` held.
-        Backend::Avx2 => unsafe { spectrum_mul_avx2(a, b) },
-        #[cfg(target_arch = "x86_64")]
-        Backend::Sse2 => spectrum_mul_lanes::<simd::SseC64>(a, b),
-        #[cfg(target_arch = "aarch64")]
-        Backend::Neon => spectrum_mul_lanes::<simd::NeonC64>(a, b),
-        _ => spectrum_mul_lanes::<ScalarC64>(a, b),
-    }
-}
-
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-unsafe fn spectrum_mul_avx2(a: &mut [Complex], b: &[Complex]) {
-    spectrum_mul_lanes::<simd::AvxC64>(a, b);
+    simd::dispatch(backend, Pass::SpectrumMul(a, b));
 }
 
 #[inline(always)]
@@ -624,23 +608,8 @@ fn spectrum_mul_lanes<C: C64Lanes>(a: &mut [Complex], b: &[Complex]) {
 /// makes `irfft(X·Y)` the properly scaled circular convolution). Afterwards
 /// slot `k` holds the real samples `{re: x[2k], im: x[2k+1]}`.
 fn irfft_with_plan(plan: &RfftPlan, x: &mut [Complex], backend: Backend) {
-    match backend {
-        #[cfg(target_arch = "x86_64")]
-        // SAFETY: Avx2 is only dispatched when `is_supported()` held.
-        Backend::Avx2 => unsafe { unpack_inverse_avx2(x, &plan.twiddles) },
-        #[cfg(target_arch = "x86_64")]
-        Backend::Sse2 => unpack_inverse_lanes::<simd::SseC64>(x, &plan.twiddles),
-        #[cfg(target_arch = "aarch64")]
-        Backend::Neon => unpack_inverse_lanes::<simd::NeonC64>(x, &plan.twiddles),
-        _ => unpack_inverse_lanes::<ScalarC64>(x, &plan.twiddles),
-    }
+    simd::dispatch(backend, Pass::UnpackInverse(x, &plan.twiddles));
     fft_with_plan_be(x, &plan.half, true, backend);
-}
-
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-unsafe fn unpack_inverse_avx2(x: &mut [Complex], twiddles: &[Complex]) {
-    unpack_inverse_lanes::<simd::AvxC64>(x, twiddles);
 }
 
 /// Inverse of the forward unpack: `E_k = (X[k] + conj(X[h−k]))/2`,

@@ -21,16 +21,21 @@
 //! result, and the thread-local test override installed by [`with_backend`]
 //! propagates into the parallel sections of the kernel under test.
 //!
+//! A kernel is written once as a [`Kernel`] over an [`Isa`] (a backend's
+//! lane types and dot products) and run through [`dispatch`], the only
+//! place that maps a [`Backend`] to lane types and target features.
+//!
 //! # Bitwise contract
 //!
 //! Every lane operation here is a plain elementwise IEEE-754 operation — no
 //! FMA contraction, no reassociation — so a kernel that performs the *same
 //! per-element operation chain* through these lanes as its scalar twin is
 //! bitwise identical to it on finite inputs (see DESIGN.md §11). The one
-//! deliberately reassociating helper is [`dot_with`], whose wide accumulators
-//! change the summation order; its consumers are gated at 1e-9 relative
-//! tolerance instead. [`F64Lanes::mul_add`] may or may not fuse depending on
-//! the backend and must therefore only be used on tolerance-gated paths.
+//! deliberately reassociating helper is the wide [`Isa::dot`] (and
+//! [`dot_with`] over it), whose accumulators change the summation order;
+//! its consumers are gated at 1e-9 relative tolerance instead.
+//! [`F64Lanes::mul_add`] may or may not fuse depending on the backend and
+//! must therefore only be used on tolerance-gated paths.
 
 use std::cell::Cell;
 use std::sync::OnceLock;
@@ -651,8 +656,8 @@ mod x86 {
     }
 
     /// 4 × f64 with AVX2. All methods assume the avx2 feature is on; the
-    /// kernels only instantiate this type inside `#[target_feature]`
-    /// monomorphized wrappers guarded by [`super::Backend::Avx2`] dispatch.
+    /// kernels only instantiate this type inside [`super::dispatch`]'s
+    /// `#[target_feature]` wrapper, chosen for [`super::Backend::Avx2`].
     #[derive(Clone, Copy)]
     pub struct AvxF64(pub __m256d);
 
@@ -993,16 +998,157 @@ mod arm {
 pub use arm::{NeonC64, NeonF64};
 
 // ---------------------------------------------------------------------------
-// Dispatching helpers
+// Dispatch
 // ---------------------------------------------------------------------------
+
+/// A backend's instruction set as types: its real and complex lanes and its
+/// dot products. Kernels are written once over an `Isa` and [`dispatch`]
+/// picks the one the backend runs with.
+pub trait Isa {
+    /// Real lanes.
+    type F: F64Lanes;
+    /// Interleaved complex lanes.
+    type C: C64Lanes;
+
+    /// Dot product of `a` and `b` over the shorter length.
+    fn dot(a: &[f64], b: &[f64]) -> f64;
+
+    /// `[dot(a, b[0]), …, dot(a, b[3])]`, bit for bit, with the four
+    /// reductions interleaved so their dependency chains overlap. Each
+    /// `b[k]` must be at least as long as `a`.
+    fn dot4(a: &[f64], b: [&[f64]; 4]) -> [f64; 4];
+}
+
+/// The scalar backend: one-lane types and the exact sequential
+/// left-to-right sum (the historical behavior).
+pub struct Sequential;
+
+impl Isa for Sequential {
+    type F = ScalarF64;
+    type C = ScalarC64;
+
+    #[inline(always)]
+    fn dot(a: &[f64], b: &[f64]) -> f64 {
+        dot_sequential(a, b)
+    }
+
+    #[inline(always)]
+    fn dot4(a: &[f64], b: [&[f64]; 4]) -> [f64; 4] {
+        let n = a.len();
+        let b = b.map(|b| &b[..n]);
+        // `Sum for f64` folds from its own identity; start from the same.
+        let zero: f64 = std::iter::empty::<f64>().sum();
+        let mut s = [zero; 4];
+        for (t, &v) in a.iter().enumerate() {
+            for k in 0..4 {
+                s[k] += v * b[k][t];
+            }
+        }
+        s
+    }
+}
+
+/// A wide backend over real lanes `F` and complex lanes `C`; its dot
+/// products reassociate through [`dot_lanes`]' two accumulators.
+#[cfg(any(target_arch = "x86_64", target_arch = "aarch64"))]
+struct Wide<F, C>(std::marker::PhantomData<(F, C)>);
+
+#[cfg(any(target_arch = "x86_64", target_arch = "aarch64"))]
+impl<F: F64Lanes, C: C64Lanes> Isa for Wide<F, C> {
+    type F = F;
+    type C = C;
+
+    #[inline(always)]
+    fn dot(a: &[f64], b: &[f64]) -> f64 {
+        dot_lanes::<F>(a, b)
+    }
+
+    #[inline(always)]
+    fn dot4(a: &[f64], b: [&[f64]; 4]) -> [f64; 4] {
+        // `dot_lanes` four times over, one step at a time.
+        let n = a.len();
+        let b = b.map(|b| &b[..n]);
+        let step = 2 * F::LANES;
+        let mut acc0 = [F::splat(0.0); 4];
+        let mut acc1 = [F::splat(0.0); 4];
+        let mut i = 0;
+        while i + step <= n {
+            // SAFETY: i + 2*LANES <= n bounds every load in `a` and in
+            // each `b[k]`, all of length n.
+            unsafe {
+                let a0 = F::load(a.as_ptr().add(i));
+                let a1 = F::load(a.as_ptr().add(i + F::LANES));
+                for k in 0..4 {
+                    let b0 = F::load(b[k].as_ptr().add(i));
+                    let b1 = F::load(b[k].as_ptr().add(i + F::LANES));
+                    acc0[k] = a0.mul_add(b0, acc0[k]);
+                    acc1[k] = a1.mul_add(b1, acc1[k]);
+                }
+            }
+            i += step;
+        }
+        let mut sum = [0.0; 4];
+        for k in 0..4 {
+            sum[k] = acc0[k].add(acc1[k]).reduce_add();
+        }
+        // The scalar tails, interleaved too.
+        for t in i..n {
+            let v = a[t];
+            for k in 0..4 {
+                sum[k] += v * b[k][t];
+            }
+        }
+        sum
+    }
+}
+
+/// A computation written once over an [`Isa`] and run under a backend by
+/// [`dispatch`]. `run` should be `#[inline(always)]`, so its loops compile
+/// under the dispatched target features.
+pub trait Kernel {
+    /// What the kernel returns.
+    type Output;
+    /// Runs the kernel with `I`'s lanes and dot products.
+    fn run<I: Isa>(self) -> Self::Output;
+}
+
+/// AVX2 monomorphization of a [`Kernel`]: the `target_feature` wrapper is
+/// what lets the compiler emit 256-bit instructions for the inlined lane
+/// ops. Enabling `fma` moves no bit of a kernel that never calls
+/// [`F64Lanes::mul_add`]: Rust never contracts a multiply and an add.
+///
+/// # Safety
+/// The CPU must support AVX2 and FMA (guaranteed when dispatch chose
+/// [`Backend::Avx2`]).
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2,fma")]
+unsafe fn run_avx2<K: Kernel>(kernel: K) -> K::Output {
+    kernel.run::<Wide<AvxF64, AvxC64>>()
+}
+
+/// Runs `kernel` under `backend`: the one place that picks a backend's
+/// lane types and target features. Kernels resolve [`current`] once on the
+/// caller's thread and pass the choice here, from each worker when the
+/// kernel runs in parallel.
+pub fn dispatch<K: Kernel>(backend: Backend, kernel: K) -> K::Output {
+    match backend {
+        #[cfg(target_arch = "x86_64")]
+        // SAFETY: a backend is only chosen where `is_supported()` held.
+        Backend::Avx2 => unsafe { run_avx2(kernel) },
+        #[cfg(target_arch = "x86_64")]
+        Backend::Sse2 => kernel.run::<Wide<SseF64, SseC64>>(),
+        #[cfg(target_arch = "aarch64")]
+        Backend::Neon => kernel.run::<Wide<NeonF64, NeonC64>>(),
+        _ => kernel.run::<Sequential>(),
+    }
+}
 
 /// Generic wide dot product: two independent vector accumulators, folded and
 /// then a scalar tail. Reassociates the summation, so consumers are gated at
-/// 1e-9 relative tolerance, never bitwise. Public so a kernel can inline it
-/// into its own per-backend monomorphization and still produce exactly the
-/// bits [`dot_with`] does for the same lane type.
+/// 1e-9 relative tolerance, never bitwise.
+#[cfg(any(target_arch = "x86_64", target_arch = "aarch64"))]
 #[inline(always)]
-pub fn dot_lanes<L: F64Lanes>(a: &[f64], b: &[f64]) -> f64 {
+fn dot_lanes<L: F64Lanes>(a: &[f64], b: &[f64]) -> f64 {
     let n = a.len().min(b.len());
     let step = 2 * L::LANES;
     let mut acc0 = L::splat(0.0);
@@ -1028,10 +1174,10 @@ pub fn dot_lanes<L: F64Lanes>(a: &[f64], b: &[f64]) -> f64 {
     sum
 }
 
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2,fma")]
-unsafe fn dot_avx2(a: &[f64], b: &[f64]) -> f64 {
-    dot_lanes::<AvxF64>(a, b)
+/// The scalar backend's dot product: the exact sequential left-to-right sum.
+#[inline(always)]
+fn dot_sequential(a: &[f64], b: &[f64]) -> f64 {
+    a.iter().zip(b).map(|(&x, &y)| x * y).sum()
 }
 
 /// Dot product of `a` and `b` (over the shorter length) with an explicit,
@@ -1041,28 +1187,15 @@ unsafe fn dot_avx2(a: &[f64], b: &[f64]) -> f64 {
 /// The scalar backend is the exact sequential left-to-right sum (the
 /// historical behavior); wide backends reassociate (1e-9 contract).
 pub fn dot_with(backend: Backend, a: &[f64], b: &[f64]) -> f64 {
-    match backend {
-        #[cfg(target_arch = "x86_64")]
-        // SAFETY: Avx2 dispatch requires is_supported() == true.
-        Backend::Avx2 => unsafe { dot_avx2(a, b) },
-        #[cfg(target_arch = "x86_64")]
-        Backend::Sse2 => dot_lanes::<SseF64>(a, b),
-        #[cfg(target_arch = "aarch64")]
-        Backend::Neon => dot_lanes::<NeonF64>(a, b),
-        _ => dot_sequential(a, b),
+    struct Dot<'a>(&'a [f64], &'a [f64]);
+    impl Kernel for Dot<'_> {
+        type Output = f64;
+        #[inline(always)]
+        fn run<I: Isa>(self) -> f64 {
+            I::dot(self.0, self.1)
+        }
     }
-}
-
-/// The scalar backend's dot product: the exact sequential left-to-right sum
-/// (the historical behavior), inlinable into a kernel's scalar body.
-#[inline(always)]
-pub fn dot_sequential(a: &[f64], b: &[f64]) -> f64 {
-    a.iter().zip(b).map(|(&x, &y)| x * y).sum()
-}
-
-/// Dot product under the currently dispatched backend.
-pub fn dot(a: &[f64], b: &[f64]) -> f64 {
-    dot_with(current(), a, b)
+    dispatch(backend, Dot(a, b))
 }
 
 #[cfg(test)]
@@ -1146,6 +1279,59 @@ mod tests {
                     wide,
                     scalar
                 );
+            }
+        }
+    }
+
+    /// Runs `dot4` and four `dot` calls under one backend.
+    struct Dot4Check<'a> {
+        a: &'a [f64],
+        b: [&'a [f64]; 4],
+    }
+
+    impl Kernel for Dot4Check<'_> {
+        type Output = ([f64; 4], [f64; 4]);
+        fn run<I: Isa>(self) -> Self::Output {
+            (I::dot4(self.a, self.b), self.b.map(|b| I::dot(self.a, b)))
+        }
+    }
+
+    fn noise(n: usize, seed: u64) -> Vec<f64> {
+        let mut state = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
+        (0..n)
+            .map(|_| {
+                state ^= state << 13;
+                state ^= state >> 7;
+                state ^= state << 17;
+                (state >> 11) as f64 / (1u64 << 53) as f64 * 2.0 - 1.0
+            })
+            .collect()
+    }
+
+    #[test]
+    fn dot4_matches_four_dots_bitwise_on_every_backend() {
+        let x = noise(400, 3);
+        // Signed zeros: the sequential sum's identity decides the sign of
+        // an all-zero result.
+        let zeros = [-0.0; 80];
+        let ones = [1.0; 80];
+        let backends = [Backend::Scalar, Backend::Sse2, Backend::Avx2, Backend::Neon];
+        for backend in backends.into_iter().filter(|b| b.is_supported()) {
+            for m in 1..=70 {
+                for (a, b) in [
+                    (&x[5..5 + m], [&x[40..], &x[41..], &x[100..], &x[300..]]),
+                    (&zeros[..m], [&x[7..], &zeros[..], &ones[..], &zeros[3..]]),
+                ] {
+                    let (four, one) = dispatch(backend, Dot4Check { a, b });
+                    for k in 0..4 {
+                        assert_eq!(
+                            four[k].to_bits(),
+                            one[k].to_bits(),
+                            "{} m={m} k={k}",
+                            backend.name()
+                        );
+                    }
+                }
             }
         }
     }

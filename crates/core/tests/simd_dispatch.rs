@@ -8,7 +8,7 @@
 use tsad_core::fft::{
     fft_in_place, irfft, rfft, sliding_dot_product, sliding_dot_product_fft, Complex,
 };
-use tsad_core::simd::{self, Backend};
+use tsad_core::simd::{self, Backend, C64Lanes, F64Lanes, Isa, Kernel};
 
 fn series(n: usize, seed: u64) -> Vec<f64> {
     let mut state = seed.max(1);
@@ -167,4 +167,25 @@ fn forced_scalar_reports_scalar_dispatch() {
         sliding_dot_product_fft(&q, &x).unwrap();
         assert_eq!(simd::current(), Backend::Scalar);
     });
+}
+
+/// Reports the lane counts of the [`Isa`] it runs under.
+struct Lanes;
+
+impl Kernel for Lanes {
+    type Output = (usize, usize);
+    fn run<I: Isa>(self) -> (usize, usize) {
+        (I::F::LANES, I::C::COMPLEX)
+    }
+}
+
+#[test]
+fn dispatch_runs_every_backend_with_its_own_lanes() {
+    let backends = [Backend::Avx2, Backend::Sse2, Backend::Neon, Backend::Scalar];
+    for backend in backends.into_iter().filter(|b| b.is_supported()) {
+        let (lanes, complex) = simd::dispatch(backend, Lanes);
+        assert_eq!(lanes, backend.lane_width(), "{}", backend.name());
+        // a complex vector is as wide as a real one, and never empty
+        assert_eq!(complex, (lanes / 2).max(1), "{}", backend.name());
+    }
 }

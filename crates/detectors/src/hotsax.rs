@@ -23,11 +23,11 @@ use std::collections::HashMap;
 
 use tsad_core::error::{CoreError, Result};
 use tsad_core::sax::sax_word;
-use tsad_core::simd;
+use tsad_core::simd::{self, Isa, Kernel};
 use tsad_core::windows::{subsequence_count, MomentsScratch, WindowMoments};
 
 use crate::matrix_profile::exclusion_zone;
-use crate::pair::{self, pair_distance, Dot, PairSearch};
+use crate::pair::pair_distance;
 
 /// HOT SAX parameters.
 #[derive(Debug, Clone, Copy)]
@@ -106,7 +106,7 @@ pub fn hotsax_discord(x: &[f64], m: usize, config: &HotSaxConfig) -> Result<(usi
     let (best_loc, best_dist) = MOMENTS.with(|space| -> Result<(usize, f64)> {
         let space = &mut *space.borrow_mut();
         WindowMoments::compute_with(x, m, &mut space.scratch, &mut space.moments)?;
-        Ok(pair::dispatch(
+        Ok(simd::dispatch(
             backend,
             HotSaxScan {
                 x,
@@ -128,7 +128,7 @@ pub fn hotsax_discord(x: &[f64], m: usize, config: &HotSaxConfig) -> Result<(usi
 }
 
 /// The HOT SAX search proper over precomputed buckets and visit order,
-/// compiled per SIMD backend through [`pair::dispatch`].
+/// compiled per SIMD backend through [`simd::dispatch`].
 struct HotSaxScan<'a> {
     x: &'a [f64],
     m: usize,
@@ -138,11 +138,11 @@ struct HotSaxScan<'a> {
     order: &'a [usize],
 }
 
-impl PairSearch for HotSaxScan<'_> {
+impl Kernel for HotSaxScan<'_> {
     type Output = (usize, f64);
 
     #[inline(always)]
-    fn run<D: Dot>(self) -> (usize, f64) {
+    fn run<I: Isa>(self) -> (usize, f64) {
         let HotSaxScan {
             x,
             m,
@@ -162,13 +162,13 @@ impl PairSearch for HotSaxScan<'_> {
             let mut nn = f64::INFINITY;
             let abandoned = 'scan: {
                 for &j in &buckets[word] {
-                    if closer::<D>(x, m, moments, i, j, excl, &mut nn) && nn < best_dist {
+                    if closer::<I>(x, m, moments, i, j, excl, &mut nn) && nn < best_dist {
                         break 'scan true;
                     }
                 }
                 for (j, &other) in bucket_of.iter().enumerate() {
                     if other != word
-                        && closer::<D>(x, m, moments, i, j, excl, &mut nn)
+                        && closer::<I>(x, m, moments, i, j, excl, &mut nn)
                         && nn < best_dist
                     {
                         break 'scan true;
@@ -189,7 +189,7 @@ impl PairSearch for HotSaxScan<'_> {
 /// smaller (pairs inside the exclusion zone are skipped); reports whether
 /// it did.
 #[inline(always)]
-fn closer<D: Dot>(
+fn closer<I: Isa>(
     x: &[f64],
     m: usize,
     moments: &WindowMoments,
@@ -201,7 +201,7 @@ fn closer<D: Dot>(
     if j.abs_diff(i) < excl {
         return false;
     }
-    let d = pair_distance::<D>(x, m, moments, i, j);
+    let d = pair_distance::<I>(x, m, moments, i, j);
     if d < *nn {
         *nn = d;
         return true;

@@ -39,7 +39,7 @@ use std::ops::Range;
 use tsad_core::dist::{dot_to_znorm_dist, mass_with_moments};
 use tsad_core::error::{CoreError, Result};
 use tsad_core::series::ensure_finite;
-use tsad_core::simd::{self, Backend, F64Lanes};
+use tsad_core::simd::{self, Backend, F64Lanes, Isa, Kernel};
 use tsad_core::windows::{MomentsScratch, WindowMoments};
 use tsad_core::{stats, TimeSeries};
 use tsad_obs::{Counter, Span};
@@ -396,7 +396,7 @@ const ROW_BLOCK: usize = 16_384;
 /// exact scalar operation chain and every merge goes through
 /// [`merge_cell`]'s order-independent rule, so group widths, row blocks and
 /// band boundaries are all invisible bit for bit. Generic over the lane
-/// type so [`fill_band`] can monomorphize it per SIMD backend and
+/// type so [`FillBand`] can monomorphize it per SIMD backend and
 /// [`scan_bands`] can fan any of them out over the same pooled buffers.
 trait BandKernel: Sync {
     /// Profile slots the walk writes: the worker buffers' length.
@@ -889,37 +889,22 @@ impl<S: LaneScorer> BandKernel for JoinScan<'_, S> {
     }
 }
 
-/// AVX2-dispatched monomorphization of a [`BandKernel`]: the
-/// `target_feature` wrapper is what lets the compiler emit 256-bit
-/// instructions for the inlined lane ops.
-///
-/// # Safety
-/// The CPU must support AVX2 (guaranteed when dispatch chose
-/// [`Backend::Avx2`]).
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-unsafe fn fill_band_avx2<K: BandKernel>(kernel: &K, band: Range<usize>, space: &mut BandSpace) {
-    kernel.fill::<simd::AvxF64>(band, space);
+/// One band of a [`BandKernel`]'s walk, run under the SIMD backend by
+/// [`simd::dispatch`] over its real lanes. The backend is resolved once per
+/// profile call on the caller's thread (see [`run_scan`]) and passed in, so
+/// worker threads can never re-detect differently.
+struct FillBand<'a, K> {
+    kernel: &'a K,
+    band: Range<usize>,
+    space: &'a mut BandSpace,
 }
 
-/// Runs one band under the dispatched SIMD backend. The backend is resolved
-/// once per profile call on the caller's thread (see [`run_scan`]) and
-/// passed in, so worker threads can never re-detect differently.
-fn fill_band<K: BandKernel>(
-    backend: Backend,
-    kernel: &K,
-    band: Range<usize>,
-    space: &mut BandSpace,
-) {
-    match backend {
-        #[cfg(target_arch = "x86_64")]
-        // SAFETY: dispatch only selects Avx2 on a CPU that supports it.
-        Backend::Avx2 => unsafe { fill_band_avx2(kernel, band, space) },
-        #[cfg(target_arch = "x86_64")]
-        Backend::Sse2 => kernel.fill::<simd::SseF64>(band, space),
-        #[cfg(target_arch = "aarch64")]
-        Backend::Neon => kernel.fill::<simd::NeonF64>(band, space),
-        _ => kernel.fill::<simd::ScalarF64>(band, space),
+impl<K: BandKernel> Kernel for FillBand<'_, K> {
+    type Output = ();
+
+    #[inline(always)]
+    fn run<I: Isa>(self) {
+        self.kernel.fill::<I::F>(self.band, self.space);
     }
 }
 
@@ -949,7 +934,14 @@ fn scan_bands<K: BandKernel>(
             space.scores.resize(rows, f64::INFINITY);
             space.index.clear();
             space.index.resize(rows, 0);
-            fill_band(backend, kernel, band, space);
+            simd::dispatch(
+                backend,
+                FillBand {
+                    kernel,
+                    band,
+                    space,
+                },
+            );
         },
         |space| {
             for i in 0..rows {

@@ -18,13 +18,12 @@
 use std::ops::Range;
 
 use tsad_core::series::ensure_finite;
-use tsad_core::simd::{self, Backend};
+use tsad_core::simd::{self, Backend, Isa, Kernel};
 use tsad_core::windows::{subsequence_count, MomentsScratch, WindowMoments};
 use tsad_parallel::ScratchPool;
 
 use super::{corr_scorer, exclusion_zone, CorrScorer, Scorer};
 use crate::merlin::fit;
-use crate::pair::{self, Dot, PairSearch};
 
 /// Half an ulp of 1: the unit roundoff of `f64`.
 const U: f64 = f64::EPSILON / 2.0;
@@ -162,11 +161,11 @@ fn locate_in(
         q_lo,
         witness,
     };
-    pair::dispatch(backend, certify)
+    simd::dispatch(backend, certify)
 }
 
-/// The search for a candidate and its proof, written once over a
-/// [`Dot`] and compiled per SIMD backend.
+/// The search for a candidate and its proof, written once over an
+/// [`Isa`] and compiled per SIMD backend by [`simd::dispatch`].
 struct Certify<'a> {
     x: &'a [f64],
     m: usize,
@@ -181,11 +180,11 @@ struct Certify<'a> {
     witness: &'a mut Vec<u32>,
 }
 
-impl PairSearch for Certify<'_> {
+impl Kernel for Certify<'_> {
     type Output = Option<usize>;
 
     #[inline(always)]
-    fn run<D: Dot>(self) -> Option<usize> {
+    fn run<I: Isa>(self) -> Option<usize> {
         let Certify {
             x,
             m,
@@ -213,7 +212,7 @@ impl PairSearch for Certify<'_> {
         for i in 0..count {
             // a plain loop: a closure would not inline the dot product
             // under the dispatched target features
-            sq.push(D::dot(win(i), win(i)) * (1.0 + 2.0 * gamma));
+            sq.push(I::dot(win(i), win(i)) * (1.0 + 2.0 * gamma));
         }
         let (mut hi, mut lo) = (0.0f64, 0.0f64);
         q_hi.push(hi);
@@ -231,7 +230,7 @@ impl PairSearch for Certify<'_> {
         // The seed of every diagonal, measured against direct dots.
         let norm = |i: usize| sq[i].sqrt() * (1.0 + 2.0 * U);
         seed_err.resize(count, 0.0);
-        each_dot::<D>(x, m, 0, excl..count, |j, d| {
+        each_dot::<I>(x, m, 0, excl..count, |j, d| {
             let measured = (first_row[j] - d).abs() * (1.0 + 2.0 * U);
             seed_err[j] = (measured + gamma * norm(0) * norm(j)) * (1.0 + 4.0 * U);
             Some(())
@@ -246,9 +245,9 @@ impl PairSearch for Certify<'_> {
             gamma,
             growth: 1.0 + 4.1 * U * count as f64,
         };
-        let w = search::<D>(x, m, start, join, &scorer, witness)?;
+        let w = search::<I>(x, m, start, join, &scorer, witness)?;
         let row = |i: usize| neighbours(join, i, excl, count);
-        let floor = row_bound::<D>(x, m, &bounds, w, row(w), false)?;
+        let floor = row_bound::<I>(x, m, &bounds, w, row(w), false)?;
         let least = scorer.finalize(floor);
         if least.is_nan() || least <= 0.0 {
             return None;
@@ -259,7 +258,7 @@ impl PairSearch for Certify<'_> {
             let [before, after] = row(i);
             let valid = before.contains(&j) || after.contains(&j);
             let ceiling = if valid {
-                let qd = D::dot(win(i), win(j));
+                let qd = I::dot(win(i), win(j));
                 bounds.score(i, j, qd)?.1
             } else {
                 f64::INFINITY
@@ -271,7 +270,7 @@ impl PairSearch for Certify<'_> {
             if refined > REFINE {
                 return None;
             }
-            let ceiling = row_bound::<D>(x, m, &bounds, i, row(i), true)?;
+            let ceiling = row_bound::<I>(x, m, &bounds, i, row(i), true)?;
             if scorer.finalize(ceiling) >= least {
                 return None;
             }
@@ -342,7 +341,7 @@ impl Bounds<'_> {
 /// STOMP's scores over window `i`'s neighbours `rows`: bounds of the min
 /// that STOMP's profile entry finalizes.
 #[inline(always)]
-fn row_bound<D: Dot>(
+fn row_bound<I: Isa>(
     x: &[f64],
     m: usize,
     bounds: &Bounds<'_>,
@@ -352,7 +351,7 @@ fn row_bound<D: Dot>(
 ) -> Option<f64> {
     let mut least = f64::INFINITY;
     for r in rows {
-        each_dot::<D>(x, m, i, r, |j, qd| {
+        each_dot::<I>(x, m, i, r, |j, qd| {
             let (lo, hi) = bounds.score(i, j, qd)?;
             least = least.min(if upper { hi } else { lo });
             Some(())
@@ -364,7 +363,7 @@ fn row_bound<D: Dot>(
 /// Calls `f(j, dot)` with the direct dot product of window `i` and each
 /// window `j` of `r`, in order, four at a time; stops at the first `None`.
 #[inline(always)]
-fn each_dot<D: Dot>(
+fn each_dot<I: Isa>(
     x: &[f64],
     m: usize,
     i: usize,
@@ -375,14 +374,14 @@ fn each_dot<D: Dot>(
     let xi = win(i);
     let mut j = r.start;
     while j + 4 <= r.end {
-        let qd = D::dot4(xi, [win(j), win(j + 1), win(j + 2), win(j + 3)]);
+        let qd = I::dot4(xi, [win(j), win(j + 1), win(j + 2), win(j + 3)]);
         for (g, &q) in qd.iter().enumerate() {
             f(j + g, q)?;
         }
         j += 4;
     }
     for j in j..r.end {
-        f(j, D::dot(xi, win(j)))?;
+        f(j, I::dot(xi, win(j)))?;
     }
     Some(())
 }
@@ -408,7 +407,7 @@ fn neighbours(join: Join, i: usize, excl: usize, count: usize) -> [Range<usize>;
 /// `witness` for every window it passes and returns the first window of
 /// largest score: only windows that set a new best scan their whole row.
 #[inline(always)]
-fn search<D: Dot>(
+fn search<I: Isa>(
     x: &[f64],
     m: usize,
     start: usize,
@@ -430,7 +429,7 @@ fn search<D: Dot>(
         if prev != NONE {
             let j = prev as usize + 1;
             let valid = rows.iter().any(|r| r.contains(&j));
-            if valid && scorer.score(i, j, D::dot(xi, win(j))) < bsf {
+            if valid && scorer.score(i, j, I::dot(xi, win(j))) < bsf {
                 witness[i] = j as u32;
                 continue;
             }
@@ -451,10 +450,10 @@ fn search<D: Dot>(
                 });
                 let mut qd = [0.0; 4];
                 if width == 4 {
-                    qd = D::dot4(xi, js.map(win));
+                    qd = I::dot4(xi, js.map(win));
                 } else {
                     for g in 0..width {
-                        qd[g] = D::dot(xi, win(js[g]));
+                        qd[g] = I::dot(xi, win(js[g]));
                     }
                 }
                 for g in 0..width {

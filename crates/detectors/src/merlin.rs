@@ -18,10 +18,10 @@
 //! previous discord distance.
 //!
 //! Each pair costs one fused dot product over precomputed window moments
-//! (`crate::pair`, shared with HOT SAX). Both passes are written once over
-//! that dot product and compiled per SIMD backend, dispatched once per
-//! pass. Four freedoms cut the work without changing a bit of the result
-//! (DESIGN.md §11 argues each one):
+//! (`crate::pair`, shared with HOT SAX). Both passes are one
+//! [`simd::Kernel`], compiled per SIMD backend and run through
+//! [`simd::dispatch`] once per pass. Four freedoms cut the work without
+//! changing a bit of the result (DESIGN.md §11 argues each one):
 //!
 //! * phase 1 visits windows in SAX-word order, so similar windows meet
 //!   early and eliminate each other while the candidate set is small;
@@ -44,13 +44,13 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use tsad_core::dist::{corr_ceiling, corr_cut};
 use tsad_core::error::{CoreError, Result};
 use tsad_core::series::ensure_finite;
-use tsad_core::simd::{self, Backend};
+use tsad_core::simd::{self, Backend, Isa, Kernel};
 use tsad_core::windows::{subsequence_count, MomentsScratch, WindowMoments};
 use tsad_obs::Counter;
 use tsad_parallel::ScratchPool;
 
 use crate::matrix_profile::exclusion_zone;
-use crate::pair::{self, corr_parts, parts_distance, regular_sigmas, Dot, Lead, PairSearch};
+use crate::pair::{corr_parts, parts_distance, regular_sigmas, Lead};
 
 /// DRAG invocations — one per `(length, r)` attempt, so the ratio to the
 /// number of candidate lengths shows how often the `r` halving retried.
@@ -218,7 +218,7 @@ impl DragScratch {
     /// One DRAG pass at radius `r` over the prepared length.
     fn pass(&mut self, x: &[f64], r: f64, backend: Backend) -> Option<(usize, f64)> {
         DRAG_PASSES.inc();
-        pair::dispatch(backend, DragPass { x, r, s: self })
+        simd::dispatch(backend, DragPass { x, r, s: self })
     }
 }
 
@@ -230,18 +230,18 @@ pub(crate) fn fit<T>(v: &mut Vec<T>, n: usize) {
 }
 
 /// The two DRAG passes for one `(m, r)` over a prepared [`DragScratch`];
-/// written once and compiled per SIMD backend through [`pair::dispatch`].
+/// written once and compiled per SIMD backend through [`simd::dispatch`].
 struct DragPass<'a> {
     x: &'a [f64],
     r: f64,
     s: &'a mut DragScratch,
 }
 
-impl PairSearch for DragPass<'_> {
+impl Kernel for DragPass<'_> {
     type Output = Option<(usize, f64)>;
 
     #[inline(always)]
-    fn run<D: Dot>(self) -> Option<(usize, f64)> {
+    fn run<I: Isa>(self) -> Option<(usize, f64)> {
         let DragPass { x, r, s } = self;
         let DragScratch {
             moments,
@@ -295,11 +295,11 @@ impl PairSearch for DragPass<'_> {
                     }
                 }
                 let qt = if ready == 4 {
-                    D::dot4(xi, block.map(win))
+                    I::dot4(xi, block.map(win))
                 } else {
                     let mut qt = [0.0; 4];
                     for k in 0..ready {
-                        qt[k] = D::dot(xi, win(block[k]));
+                        qt[k] = I::dot(xi, win(block[k]));
                     }
                     qt
                 };
@@ -398,12 +398,12 @@ impl PairSearch for DragPass<'_> {
                 }};
             }
             if partner != usize::MAX {
-                visit!(partner, D::dot(xc, win(partner)));
+                visit!(partner, I::dot(xc, win(partner)));
             }
             for (lo, hi) in [(0, (c + 1).saturating_sub(excl)), (c + excl, count)] {
                 let mut j = lo;
                 while j + 4 <= hi {
-                    let qt = D::dot4(xc, [win(j), win(j + 1), win(j + 2), win(j + 3)]);
+                    let qt = I::dot4(xc, [win(j), win(j + 1), win(j + 2), win(j + 3)]);
                     for (k, qt) in qt.into_iter().enumerate() {
                         if j + k != partner {
                             visit!(j + k, qt);
@@ -413,7 +413,7 @@ impl PairSearch for DragPass<'_> {
                 }
                 for j in j..hi {
                     if j != partner {
-                        visit!(j, D::dot(xc, win(j)));
+                        visit!(j, I::dot(xc, win(j)));
                     }
                 }
             }

@@ -1,6 +1,7 @@
 //! The fused z-normalized pair distance shared by the discord searches
-//! (MERLIN's DRAG passes and HOT SAX), and the per-backend dispatch that
-//! compiles each search once per SIMD backend.
+//! (MERLIN's DRAG passes and HOT SAX), each written once as a
+//! [`tsad_core::simd::Kernel`] and compiled per SIMD backend by
+//! [`tsad_core::simd::dispatch`].
 //!
 //! A pair costs one dot product plus the precomputed window moments — no
 //! per-pair normalization buffers. The scalar backend reproduces the
@@ -9,106 +10,20 @@
 //! searches are tolerance-gated rather than bitwise-gated across backends
 //! (DESIGN.md §11).
 
-use std::marker::PhantomData;
-
 use tsad_core::dist::{corr_to_znorm_dist, dot_to_znorm_dist, FLAT_STD};
-use tsad_core::simd::{self, Backend, F64Lanes};
+use tsad_core::simd::Isa;
 use tsad_core::windows::WindowMoments;
-
-/// The dot product a search is monomorphized over: the same per-pair
-/// arithmetic as [`simd::dot_with`] for the matching backend.
-pub(crate) trait Dot {
-    fn dot(a: &[f64], b: &[f64]) -> f64;
-
-    /// `[dot(a, b[0]), …, dot(a, b[3])]`, bit for bit, with the four
-    /// reductions interleaved so their dependency chains overlap. Each
-    /// `b[k]` must be at least as long as `a`.
-    fn dot4(a: &[f64], b: [&[f64]; 4]) -> [f64; 4];
-}
-
-/// The scalar backend's exact sequential sum.
-pub(crate) struct Sequential;
-
-impl Dot for Sequential {
-    #[inline(always)]
-    fn dot(a: &[f64], b: &[f64]) -> f64 {
-        simd::dot_sequential(a, b)
-    }
-
-    #[inline(always)]
-    fn dot4(a: &[f64], b: [&[f64]; 4]) -> [f64; 4] {
-        let n = a.len();
-        let b = b.map(|b| &b[..n]);
-        // `Sum for f64` folds from its own identity; start from the same.
-        let zero: f64 = std::iter::empty::<f64>().sum();
-        let mut s = [zero; 4];
-        for (t, &v) in a.iter().enumerate() {
-            for k in 0..4 {
-                s[k] += v * b[k][t];
-            }
-        }
-        s
-    }
-}
-
-/// The wide backends' two-accumulator reduction over lane type `L`.
-pub(crate) struct Wide<L>(PhantomData<L>);
-
-impl<L: F64Lanes> Dot for Wide<L> {
-    #[inline(always)]
-    fn dot(a: &[f64], b: &[f64]) -> f64 {
-        simd::dot_lanes::<L>(a, b)
-    }
-
-    #[inline(always)]
-    fn dot4(a: &[f64], b: [&[f64]; 4]) -> [f64; 4] {
-        // `simd::dot_lanes` four times over, one step at a time.
-        let n = a.len();
-        let b = b.map(|b| &b[..n]);
-        let step = 2 * L::LANES;
-        let mut acc0 = [L::splat(0.0); 4];
-        let mut acc1 = [L::splat(0.0); 4];
-        let mut i = 0;
-        while i + step <= n {
-            // SAFETY: i + 2*LANES <= n bounds every load in `a` and in
-            // each `b[k]`, all of length n.
-            unsafe {
-                let a0 = L::load(a.as_ptr().add(i));
-                let a1 = L::load(a.as_ptr().add(i + L::LANES));
-                for k in 0..4 {
-                    let b0 = L::load(b[k].as_ptr().add(i));
-                    let b1 = L::load(b[k].as_ptr().add(i + L::LANES));
-                    acc0[k] = a0.mul_add(b0, acc0[k]);
-                    acc1[k] = a1.mul_add(b1, acc1[k]);
-                }
-            }
-            i += step;
-        }
-        let mut sum = [0.0; 4];
-        for k in 0..4 {
-            sum[k] = acc0[k].add(acc1[k]).reduce_add();
-        }
-        // The scalar tails, interleaved too.
-        for t in i..n {
-            let v = a[t];
-            for k in 0..4 {
-                sum[k] += v * b[k][t];
-            }
-        }
-        sum
-    }
-}
 
 /// Z-normalized distance between the length-`m` windows at `i` and `j`.
 #[inline(always)]
-pub(crate) fn pair_distance<D: Dot>(
+pub(crate) fn pair_distance<I: Isa>(
     x: &[f64],
     m: usize,
     moments: &WindowMoments,
     i: usize,
     j: usize,
 ) -> f64 {
-    let dot = D::dot(&x[i..i + m], &x[j..j + m]);
+    let dot = I::dot(&x[i..i + m], &x[j..j + m]);
     dot_to_znorm_dist(
         dot,
         m,
@@ -201,57 +116,11 @@ pub(crate) fn parts_distance(
     }
 }
 
-/// One pass of a pair search, written once and monomorphized per [`Dot`].
-pub(crate) trait PairSearch {
-    type Output;
-    fn run<D: Dot>(self) -> Self::Output;
-}
-
-/// AVX2 monomorphization of a [`PairSearch`]: the `target_feature` wrapper
-/// is what lets the compiler inline the 256-bit dot product into the
-/// search's loops instead of calling it per pair.
-///
-/// # Safety
-/// The CPU must support AVX2 and FMA (guaranteed when dispatch chose
-/// [`Backend::Avx2`]).
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2,fma")]
-unsafe fn run_avx2<S: PairSearch>(search: S) -> S::Output {
-    search.run::<Wide<simd::AvxF64>>()
-}
-
-/// Runs one pass under `backend`, resolved once by the caller on its own
-/// thread, as `matrix_profile::fill_band` does for the STOMP bands.
-pub(crate) fn dispatch<S: PairSearch>(backend: Backend, search: S) -> S::Output {
-    match backend {
-        #[cfg(target_arch = "x86_64")]
-        // SAFETY: dispatch only selects Avx2 on a CPU that supports it.
-        Backend::Avx2 => unsafe { run_avx2(search) },
-        #[cfg(target_arch = "x86_64")]
-        Backend::Sse2 => search.run::<Wide<simd::SseF64>>(),
-        #[cfg(target_arch = "aarch64")]
-        Backend::Neon => search.run::<Wide<simd::NeonF64>>(),
-        _ => search.run::<Sequential>(),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use tsad_core::dist::{corr_ceiling, corr_cut};
-
-    /// Runs `dot4` and four `dot` calls under one backend.
-    struct Dot4Check<'a> {
-        a: &'a [f64],
-        b: [&'a [f64]; 4],
-    }
-
-    impl PairSearch for Dot4Check<'_> {
-        type Output = ([f64; 4], [f64; 4]);
-        fn run<D: Dot>(self) -> Self::Output {
-            (D::dot4(self.a, self.b), self.b.map(|b| D::dot(self.a, b)))
-        }
-    }
+    use tsad_core::simd::Sequential;
 
     fn noise(n: usize, seed: u64) -> Vec<f64> {
         let mut state = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
@@ -263,34 +132,6 @@ mod tests {
                 (state >> 11) as f64 / (1u64 << 53) as f64 * 2.0 - 1.0
             })
             .collect()
-    }
-
-    #[test]
-    fn dot4_matches_four_dots_bitwise_on_every_backend() {
-        let x = noise(400, 3);
-        // Signed zeros: the sequential sum's identity decides the sign of
-        // an all-zero result.
-        let zeros = [-0.0; 80];
-        let ones = [1.0; 80];
-        let backends = [Backend::Scalar, Backend::Sse2, Backend::Avx2, Backend::Neon];
-        for backend in backends.into_iter().filter(|b| b.is_supported()) {
-            for m in 1..=70 {
-                for (a, b) in [
-                    (&x[5..5 + m], [&x[40..], &x[41..], &x[100..], &x[300..]]),
-                    (&zeros[..m], [&x[7..], &zeros[..], &ones[..], &zeros[3..]]),
-                ] {
-                    let (four, one) = dispatch(backend, Dot4Check { a, b });
-                    for k in 0..4 {
-                        assert_eq!(
-                            four[k].to_bits(),
-                            one[k].to_bits(),
-                            "{} m={m} k={k}",
-                            backend.name()
-                        );
-                    }
-                }
-            }
-        }
     }
 
     #[test]

@@ -178,19 +178,6 @@ where
     })
 }
 
-/// [`par_chunks`] folded **in range order**: `merge(merge(init, r0), r1)…`.
-/// With a merge step that is insensitive to where chunk boundaries fall
-/// (element-wise min, concatenation, sum of integers, …) the result is
-/// identical at every thread count.
-pub fn par_reduce<R, A, F, M>(len: usize, init: A, map: F, mut merge: M) -> A
-where
-    R: Send,
-    F: Fn(Range<usize>) -> R + Sync,
-    M: FnMut(A, R) -> A,
-{
-    par_chunks(len, map).into_iter().fold(init, &mut merge)
-}
-
 /// Applies `f` to every item and returns the results in item order. Items
 /// are distributed as contiguous chunks over the effective thread count.
 pub fn par_map_indexed<T, R, F>(items: &[T], f: F) -> Vec<R>
@@ -540,26 +527,6 @@ mod tests {
         for threads in [1usize, 2, 8] {
             let got = with_threads(threads, || par_map_indexed(&items, |i, v| v * i as i64));
             assert_eq!(got, expected);
-        }
-    }
-
-    #[test]
-    fn par_reduce_folds_in_chunk_order() {
-        // string concatenation is order-sensitive: ascending range starts
-        // in the folded output prove the fold is index-ordered
-        let render = |r: Range<usize>| format!("[{}..{})", r.start, r.end);
-        for threads in [1usize, 2, 3, 8] {
-            let got = with_threads(threads, || {
-                par_reduce(40, String::new(), render, |a, b| a + &b)
-            });
-            assert!(got.starts_with("[0.."), "{got}");
-            assert!(got.ends_with("..40)"), "{got}");
-            let starts: Vec<usize> = got
-                .split('[')
-                .skip(1)
-                .map(|s| s.split("..").next().unwrap().parse().unwrap())
-                .collect();
-            assert!(starts.windows(2).all(|w| w[0] < w[1]), "{got}");
         }
     }
 
