@@ -1,7 +1,6 @@
 //! The archive build runs only the structural checks. These tests pin that
 //! this rejects exactly what the full validation rejected, and that the
-//! archives it builds are unchanged. The first is ignored in the default
-//! run for time; CI runs it with `--ignored`.
+//! archives it builds are unchanged.
 
 use tsad_archive::builder::{build_archive, build_entry, Difficulty, Domain};
 use tsad_archive::validate::{validate, validate_structure, ValidationConfig, Violation};
@@ -32,7 +31,6 @@ fn fatal(violations: &[Violation]) -> bool {
 }
 
 #[test]
-#[ignore = "4,200 full validations (about a minute in release on 2 cores)"]
 fn structural_checks_reject_exactly_what_full_validation_rejects() {
     let config = ValidationConfig::default();
     let cases: Vec<(u64, Domain, Difficulty)> = (0..200u64)
