@@ -18,7 +18,7 @@ use tsad_core::dist::mass_with_moments;
 use tsad_core::windows::WindowMoments;
 use tsad_core::Dataset;
 
-use crate::error::{ArchiveError, Result};
+use crate::error::Result;
 
 /// Validation configuration.
 #[derive(Debug, Clone)]
@@ -224,23 +224,6 @@ fn uncovered_test_modes(
     Ok(())
 }
 
-/// Convenience: validate and convert violations into an error.
-pub fn validate_strict(dataset: &Dataset, config: &ValidationConfig) -> Result<()> {
-    let violations = validate(dataset, config)?;
-    if violations.is_empty() {
-        return Ok(());
-    }
-    let reason = violations
-        .iter()
-        .map(|v| v.to_string())
-        .collect::<Vec<_>>()
-        .join("; ");
-    Err(ArchiveError::InvalidDataset {
-        name: dataset.name().to_string(),
-        reason,
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -270,7 +253,6 @@ mod tests {
         let d = periodic_with_anomaly(3000, 1000, 2000);
         let v = validate(&d, &ValidationConfig::default()).unwrap();
         assert!(v.is_empty(), "{v:?}");
-        assert!(validate_strict(&d, &ValidationConfig::default()).is_ok());
     }
 
     #[test]
@@ -287,7 +269,6 @@ mod tests {
         let d = Dataset::new(ts, labels, 1000).unwrap();
         let v = validate(&d, &ValidationConfig::default()).unwrap();
         assert_eq!(v, vec![Violation::NotSingleAnomaly { regions: 2 }]);
-        assert!(validate_strict(&d, &ValidationConfig::default()).is_err());
     }
 
     #[test]

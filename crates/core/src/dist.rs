@@ -1,10 +1,8 @@
 //! Distance measures between time-series subsequences.
 //!
-//! Provides plain and z-normalized Euclidean distance, the MASS distance
+//! Provides plain and z-normalized Euclidean distance and the MASS distance
 //! profile (FFT-accelerated z-normalized Euclidean distance of a query to
-//! every window of a series), and (constrained) dynamic time warping — the
-//! distance the paper's §4.2 invariance discussion recommends choosing
-//! deliberately.
+//! every window of a series).
 
 use crate::error::{CoreError, Result};
 use crate::windows::WindowMoments;
@@ -220,69 +218,6 @@ pub fn distance_profile_naive(query: &[f64], series: &[f64]) -> Result<Vec<f64>>
         .collect()
 }
 
-/// Dynamic time warping distance with a Sakoe–Chiba band of half-width
-/// `band` (`band >= max(len difference)` required for a path to exist; pass
-/// `band = usize::MAX` for unconstrained DTW). Returns the square-root of
-/// the accumulated squared pointwise costs, matching the Euclidean metric
-/// at `band = 0` for equal-length inputs.
-pub fn dtw(a: &[f64], b: &[f64], band: usize) -> Result<f64> {
-    if a.is_empty() || b.is_empty() {
-        return Err(CoreError::EmptySeries);
-    }
-    let (n, m) = (a.len(), b.len());
-    let diff_len = n.abs_diff(m);
-    if band != usize::MAX && band < diff_len {
-        return Err(CoreError::BadParameter {
-            name: "band",
-            value: band as f64,
-            expected: "band >= |len(a) - len(b)|",
-        });
-    }
-    let inf = f64::INFINITY;
-    // Two-row dynamic program over the (optionally banded) alignment matrix.
-    let mut prev = vec![inf; m + 1];
-    let mut curr = vec![inf; m + 1];
-    prev[0] = 0.0;
-    for i in 1..=n {
-        curr.fill(inf);
-        let (j_lo, j_hi) = if band == usize::MAX {
-            (1, m)
-        } else {
-            (i.saturating_sub(band).max(1), i.saturating_add(band).min(m))
-        };
-        for j in j_lo..=j_hi {
-            let cost = (a[i - 1] - b[j - 1]) * (a[i - 1] - b[j - 1]);
-            let best = prev[j].min(curr[j - 1]).min(prev[j - 1]);
-            curr[j] = cost + best;
-        }
-        std::mem::swap(&mut prev, &mut curr);
-    }
-    let total = prev[m];
-    if !total.is_finite() {
-        return Err(CoreError::BadParameter {
-            name: "band",
-            value: band as f64,
-            expected: "a band wide enough to admit a warping path",
-        });
-    }
-    Ok(total.sqrt())
-}
-
-/// Constrained DTW (`cDTW`) with the band expressed as a fraction of the
-/// longer input's length — the parameterization used in the time-series
-/// classification literature the paper cites.
-pub fn cdtw(a: &[f64], b: &[f64], band_fraction: f64) -> Result<f64> {
-    if !(0.0..=1.0).contains(&band_fraction) {
-        return Err(CoreError::BadParameter {
-            name: "band_fraction",
-            value: band_fraction,
-            expected: "0 <= band_fraction <= 1",
-        });
-    }
-    let band = ((a.len().max(b.len()) as f64) * band_fraction).ceil() as usize;
-    dtw(a, b, band.max(a.len().abs_diff(b.len())))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -394,52 +329,5 @@ mod tests {
         // flat query against wiggly window: max distance sqrt(2m)
         let max = (2.0 * 8.0_f64).sqrt();
         assert!((d[40] - max).abs() < 1e-9);
-    }
-
-    #[test]
-    fn dtw_zero_for_identical_and_band_zero_is_euclidean() {
-        let a = [1.0, 3.0, 2.0, 5.0];
-        assert_eq!(dtw(&a, &a, 0).unwrap(), 0.0);
-        let b = [2.0, 3.0, 1.0, 5.0];
-        let d0 = dtw(&a, &b, 0).unwrap();
-        assert!((d0 - euclidean(&a, &b).unwrap()).abs() < 1e-12);
-    }
-
-    #[test]
-    fn dtw_absorbs_time_shift() {
-        // same bump shifted by 2 samples; DTW with a band of 2 should be
-        // (near) zero while Euclidean is large.
-        let n = 40;
-        let bump = |c: usize| -> Vec<f64> {
-            (0..n)
-                .map(|i| (-((i as f64 - c as f64) / 2.0).powi(2)).exp())
-                .collect()
-        };
-        let a = bump(18);
-        let b = bump(20);
-        let de = euclidean(&a, &b).unwrap();
-        let dw = dtw(&a, &b, 3).unwrap();
-        assert!(dw < de * 0.2, "dtw {dw} vs euclid {de}");
-    }
-
-    #[test]
-    fn dtw_different_lengths() {
-        let a = [0.0, 1.0, 2.0, 3.0];
-        let b = [0.0, 1.0, 1.0, 2.0, 3.0];
-        let d = dtw(&a, &b, usize::MAX).unwrap();
-        assert!(d < 1e-12, "{d}");
-        // band narrower than the length difference is rejected
-        assert!(dtw(&a, &b, 0).is_err());
-        assert!(dtw(&[], &b, 1).is_err());
-    }
-
-    #[test]
-    fn cdtw_band_fraction() {
-        let a: Vec<f64> = (0..100).map(|i| (i as f64 * 0.2).sin()).collect();
-        let b: Vec<f64> = (0..100).map(|i| ((i as f64 + 3.0) * 0.2).sin()).collect();
-        let wide = cdtw(&a, &b, 0.1).unwrap();
-        let narrow = cdtw(&a, &b, 0.0).unwrap();
-        assert!(wide <= narrow);
-        assert!(cdtw(&a, &b, 1.5).is_err());
     }
 }

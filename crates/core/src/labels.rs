@@ -239,12 +239,6 @@ impl Labels {
             .last()
             .map(|r| (r.end - 1) as f64 / (self.len - 1) as f64)
     }
-
-    /// The complement label set (normal regions become "anomalies").
-    pub fn complement(&self) -> Labels {
-        let mask: Vec<bool> = self.to_mask().iter().map(|b| !b).collect();
-        Labels::from_mask(&mask)
-    }
 }
 
 #[cfg(test)]
@@ -369,16 +363,5 @@ mod tests {
         let l = Labels::single(101, Region::new(50, 51).unwrap()).unwrap();
         assert_eq!(l.last_anomaly_relative_position(), Some(0.5));
         assert_eq!(Labels::empty(10).last_anomaly_relative_position(), None);
-    }
-
-    #[test]
-    fn complement() {
-        let l = Labels::single(6, Region::new(2, 4).unwrap()).unwrap();
-        let c = l.complement();
-        assert_eq!(
-            c.regions(),
-            &[Region { start: 0, end: 2 }, Region { start: 4, end: 6 }]
-        );
-        assert_eq!(c.complement(), l);
     }
 }

@@ -176,64 +176,9 @@ fn moving_extreme(x: &[f64], k: usize, max: bool) -> Result<Vec<f64>> {
     Ok(out)
 }
 
-/// Moving median with a centered, endpoint-shrinking window (MATLAB
-/// `movmedian`). `O(n · k log k)` — fine for the small `k` one-liners use;
-/// the robust alternative to `movmean` when the window may contain the
-/// anomaly itself.
-pub fn movmedian(x: &[f64], k: usize) -> Result<Vec<f64>> {
-    validate_window(k)?;
-    let n = x.len();
-    let mut out = Vec::with_capacity(n);
-    let mut window = Vec::with_capacity(k + 1);
-    for i in 0..n {
-        let (lo, hi) = centered_window(i, k, n);
-        window.clear();
-        window.extend_from_slice(&x[lo..hi]);
-        window.sort_by(|a, b| a.total_cmp(b));
-        let m = window.len();
-        let med = if m % 2 == 1 {
-            window[m / 2]
-        } else {
-            0.5 * (window[m / 2 - 1] + window[m / 2])
-        };
-        out.push(med);
-    }
-    Ok(out)
-}
-
-/// Moving sum with a centered, endpoint-shrinking window (MATLAB `movsum`).
-pub fn movsum(x: &[f64], k: usize) -> Result<Vec<f64>> {
-    validate_window(k)?;
-    let n = x.len();
-    let mut prefix = Vec::with_capacity(n + 1);
-    prefix.push(0.0);
-    let mut acc = 0.0;
-    for &v in x {
-        acc += v;
-        prefix.push(acc);
-    }
-    Ok((0..n)
-        .map(|i| {
-            let (lo, hi) = centered_window(i, k, n);
-            prefix[hi] - prefix[lo]
-        })
-        .collect())
-}
-
 /// Element-wise `x > threshold` mask.
 pub fn gt(x: &[f64], threshold: f64) -> Vec<bool> {
     x.iter().map(|&v| v > threshold).collect()
-}
-
-/// Element-wise `x[i] > y[i]` mask. Errors on length mismatch.
-pub fn gt_elementwise(x: &[f64], y: &[f64]) -> Result<Vec<bool>> {
-    if x.len() != y.len() {
-        return Err(CoreError::LengthMismatch {
-            left: x.len(),
-            right: y.len(),
-        });
-    }
-    Ok(x.iter().zip(y).map(|(&a, &b)| a > b).collect())
 }
 
 /// Element-wise `|x[i]| <= eps` mask — "the signal is (locally) constant",
@@ -258,20 +203,6 @@ pub fn znormalize(x: &[f64]) -> Vec<f64> {
         return vec![0.0; n];
     }
     x.iter().map(|&v| (v - mean) / std).collect()
-}
-
-/// Scales `x` into `[0, 1]` (min-max). A constant input maps to all zeros.
-pub fn minmax_scale(x: &[f64]) -> Vec<f64> {
-    let (mut lo, mut hi) = (f64::INFINITY, f64::NEG_INFINITY);
-    for &v in x {
-        lo = lo.min(v);
-        hi = hi.max(v);
-    }
-    let range = hi - lo;
-    if !range.is_finite() || range < 1e-12 {
-        return vec![0.0; x.len()];
-    }
-    x.iter().map(|&v| (v - lo) / range).collect()
 }
 
 /// Pads a mask produced from a `diff`-transformed series back to the original
@@ -392,7 +323,6 @@ mod tests {
         assert!(movstd(&[1.0], 0).is_err());
         assert!(movmax(&[1.0], 0).is_err());
         assert!(movmin(&[1.0], 0).is_err());
-        assert!(movsum(&[1.0], 0).is_err());
     }
 
     #[test]
@@ -412,40 +342,8 @@ mod tests {
     }
 
     #[test]
-    fn movmedian_matches_matlab() {
-        // MATLAB: movmedian([4 8 6 -1 -2 -3], 3) = [6 6 6 -1 -2 -2.5]
-        let x = [4.0, 8.0, 6.0, -1.0, -2.0, -3.0];
-        let got = movmedian(&x, 3).unwrap();
-        assert_close(&got, &[6.0, 6.0, 6.0, -1.0, -2.0, -2.5]);
-        assert!(movmedian(&x, 0).is_err());
-    }
-
-    #[test]
-    fn movmedian_is_robust_to_a_spike() {
-        let mut x = vec![1.0; 50];
-        x[25] = 100.0;
-        let med = movmedian(&x, 9).unwrap();
-        let mean = movmean(&x, 9).unwrap();
-        // the median ignores the outlier entirely, the mean does not
-        assert_eq!(med[25], 1.0);
-        assert!(mean[25] > 5.0);
-    }
-
-    #[test]
-    fn movsum_window_covers_all() {
-        let x = [1.0, 2.0, 3.0, 4.0];
-        let got = movsum(&x, 99).unwrap();
-        assert_close(&got, &[10.0, 10.0, 10.0, 10.0]);
-    }
-
-    #[test]
     fn masks() {
         assert_eq!(gt(&[1.0, 3.0, 2.0], 1.5), vec![false, true, true]);
-        assert_eq!(
-            gt_elementwise(&[1.0, 5.0], &[2.0, 4.0]).unwrap(),
-            vec![false, true]
-        );
-        assert!(gt_elementwise(&[1.0], &[1.0, 2.0]).is_err());
         assert_eq!(near_zero(&[0.0, 1e-12, 0.1], 1e-9), vec![true, true, false]);
     }
 
@@ -458,13 +356,6 @@ mod tests {
         assert!((var - 1.0).abs() < 1e-12);
         assert_eq!(znormalize(&[7.0; 5]), vec![0.0; 5]);
         assert!(znormalize(&[]).is_empty());
-    }
-
-    #[test]
-    fn minmax_scale_properties() {
-        let s = minmax_scale(&[10.0, 20.0, 15.0]);
-        assert_close(&s, &[0.0, 1.0, 0.5]);
-        assert_eq!(minmax_scale(&[3.0; 4]), vec![0.0; 4]);
     }
 
     #[test]

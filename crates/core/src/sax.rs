@@ -77,35 +77,6 @@ pub fn sax_word(x: &[f64], word_length: usize, alphabet: usize) -> Result<SaxWor
         .collect())
 }
 
-/// MINDIST lower bound between two SAX words of equal length, for original
-/// subsequence length `n` (Lin et al.). Zero for adjacent symbols.
-pub fn sax_mindist(a: &SaxWord, b: &SaxWord, n: usize, alphabet: usize) -> Result<f64> {
-    if a.len() != b.len() {
-        return Err(CoreError::LengthMismatch {
-            left: a.len(),
-            right: b.len(),
-        });
-    }
-    if let Some(&bad) = a.iter().chain(b).find(|&&s| s as usize >= alphabet) {
-        return Err(CoreError::BadParameter {
-            name: "symbol",
-            value: bad as f64,
-            expected: "every symbol < alphabet",
-        });
-    }
-    let breakpoints = sax_breakpoints(alphabet)?;
-    let w = a.len() as f64;
-    let mut acc = 0.0;
-    for (&sa, &sb) in a.iter().zip(b) {
-        let (lo, hi) = if sa < sb { (sa, sb) } else { (sb, sa) };
-        if hi - lo >= 2 {
-            let cell = breakpoints[hi as usize - 1] - breakpoints[lo as usize];
-            acc += cell * cell;
-        }
-    }
-    Ok((n as f64 / w).sqrt() * acc.sqrt())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -183,19 +154,5 @@ mod tests {
             a, b,
             "SAX is amplitude/offset invariant via z-normalization"
         );
-    }
-
-    #[test]
-    fn mindist_properties() {
-        let a: SaxWord = vec![0, 0, 3, 3];
-        let b: SaxWord = vec![0, 1, 3, 3];
-        let c: SaxWord = vec![3, 3, 0, 0];
-        // adjacent symbols contribute zero
-        assert_eq!(sax_mindist(&a, &b, 32, 4).unwrap(), 0.0);
-        assert!(sax_mindist(&a, &c, 32, 4).unwrap() > 0.0);
-        assert_eq!(sax_mindist(&a, &a, 32, 4).unwrap(), 0.0);
-        assert!(sax_mindist(&a, &vec![0u8; 3], 32, 4).is_err());
-        // symbols from a larger alphabet are rejected, not a panic
-        assert!(sax_mindist(&vec![5, 0], &vec![0, 0], 32, 4).is_err());
     }
 }

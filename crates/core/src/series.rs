@@ -86,22 +86,6 @@ impl TimeSeries {
         })
     }
 
-    /// Splits the series into a train prefix and test suffix at `train_len`,
-    /// the convention used by the UCR anomaly archive file names.
-    pub fn split_train_test(&self, train_len: usize) -> Result<(TimeSeries, TimeSeries)> {
-        if train_len > self.values.len() {
-            return Err(CoreError::BadRegion {
-                start: 0,
-                end: train_len,
-                len: self.values.len(),
-            });
-        }
-        Ok((
-            self.slice(0, train_len)?,
-            self.slice(train_len, self.values.len())?,
-        ))
-    }
-
     /// Minimum value. Errors on an empty series.
     pub fn min(&self) -> Result<f64> {
         self.values
@@ -238,10 +222,6 @@ mod tests {
         let ts = TimeSeries::new("s", (0..10).map(|i| i as f64).collect()).unwrap();
         let mid = ts.slice(2, 5).unwrap();
         assert_eq!(mid.values(), &[2.0, 3.0, 4.0]);
-        let (train, test) = ts.split_train_test(4).unwrap();
-        assert_eq!(train.len(), 4);
-        assert_eq!(test.len(), 6);
-        assert_eq!(test.values()[0], 4.0);
     }
 
     #[test]
@@ -249,7 +229,6 @@ mod tests {
         let ts = TimeSeries::from_values(vec![1.0, 2.0]).unwrap();
         assert!(ts.slice(1, 0).is_err());
         assert!(ts.slice(0, 3).is_err());
-        assert!(ts.split_train_test(3).is_err());
     }
 
     #[test]

@@ -8,7 +8,8 @@
 //! * [`matrix_profile`] — STOMP and STAMP self-join matrix profiles; the
 //!   matrix profile *is* the "time series discord score" plotted in the
 //!   paper's Fig. 8 and Fig. 13.
-//! * [`discord`] — top-k discord extraction and discord score series.
+//! * [`threshold`] — top-k score peaks with exclusion zones (the discord
+//!   picks of Fig. 8) and score-to-prediction thresholds.
 //! * [`hotsax`] — the classic HOT SAX heuristic discord search.
 //! * [`merlin`] — MERLIN-style parameter-free discovery of arbitrary-length
 //!   discords (DRAG candidate selection + refinement).
@@ -46,7 +47,6 @@
 pub mod baselines;
 pub mod calibrated;
 pub mod cusum;
-pub mod discord;
 pub mod ensemble;
 pub mod esd;
 pub mod hotsax;

@@ -101,7 +101,9 @@ pub fn score_multivariate(
 /// OmniAnomaly-style reconstruction scorer (Su et al., KDD 2019, reduced
 /// to its decision rule): score each point by the negative log-likelihood
 /// of the observation under an online one-step predictive model, then
-/// aggregate channels by rank-normalized consensus.
+/// aggregate channels by rank-normalized consensus ([`score_multivariate`]
+/// with [`Aggregation::Mean`]: OmniAnomaly sums channel likelihoods, and
+/// after rank normalization the sum and the mean rank identically).
 ///
 /// The original uses a stochastic RNN's reconstruction density; this
 /// dependency-free stand-in keeps the *scoring pipeline* — per-channel
@@ -151,13 +153,6 @@ impl OmniScorer {
             var = (1.0 - self.alpha) * var + self.alpha * e * e;
         }
         Ok(out)
-    }
-
-    /// Scores all channels of `series` and aggregates by rank-normalized
-    /// mean (OmniAnomaly sums channel likelihoods; after rank
-    /// normalization the sum and the mean rank identically).
-    pub fn score_multi(&self, series: &MultiSeries, train_len: usize) -> Result<Vec<f64>> {
-        score_multivariate(self, series, train_len, Aggregation::Mean)
     }
 }
 
@@ -251,9 +246,13 @@ mod tests {
     fn omni_scorer_finds_the_smd_incident() {
         let machine = tsad_synth::omni::smd_machine(42);
         let region = machine.labels.regions()[0];
-        let score = OmniScorer::default()
-            .score_multi(&machine.series, 0)
-            .unwrap();
+        let score = score_multivariate(
+            &OmniScorer::default(),
+            &machine.series,
+            0,
+            Aggregation::Mean,
+        )
+        .unwrap();
         assert_eq!(score.len(), machine.series.len());
         let peak = tsad_core::stats::argmax(&score).unwrap();
         assert!(

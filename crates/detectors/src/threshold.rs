@@ -98,6 +98,32 @@ mod tests {
     }
 
     #[test]
+    fn finds_both_anomalies_as_top_discords() {
+        // Two anomalies of *different shape*, a bump and a frequency burst,
+        // so z-normalized matching cannot pair them with each other.
+        let x: Vec<f64> = (0..600)
+            .map(|i| {
+                let base = (i as f64 * std::f64::consts::TAU / 20.0).sin();
+                if (200..210).contains(&i) {
+                    base + 2.5
+                } else if (400..410).contains(&i) {
+                    (i as f64 * std::f64::consts::TAU / 5.0).sin()
+                } else {
+                    base
+                }
+            })
+            .collect();
+        let mp = crate::matrix_profile::stomp(&x, 20).unwrap();
+        let peaks = top_k_peaks(&mp.profile, 2, 20);
+        assert_eq!(peaks.len(), 2);
+        // both events are surfaced, in either order: the ranking between
+        // two genuine anomalies is signal-dependent
+        let near = |c: usize| peaks.iter().any(|p| p.index.abs_diff(c) <= 25);
+        assert!(near(200), "bump not found: {peaks:?}");
+        assert!(near(400), "frequency burst not found: {peaks:?}");
+    }
+
+    #[test]
     fn masks() {
         assert_eq!(
             threshold_mask(&[0.1, 0.9, 0.5], 0.4),

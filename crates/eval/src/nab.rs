@@ -16,8 +16,7 @@
 use tsad_core::error::{CoreError, Result};
 use tsad_core::{Labels, Region};
 
-/// The application-profile weights of NAB (standard / reward-low-FP /
-/// reward-low-FN).
+/// The application-profile weights of NAB.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct NabProfile {
     /// Reward for a true positive (per window, scaled by the sigmoid).
@@ -35,22 +34,6 @@ impl NabProfile {
             a_tp: 1.0,
             a_fp: -0.11,
             a_fn: -1.0,
-        }
-    }
-    /// The "reward low FP" profile.
-    pub fn reward_low_fp() -> Self {
-        Self {
-            a_tp: 1.0,
-            a_fp: -0.22,
-            a_fn: -1.0,
-        }
-    }
-    /// The "reward low FN" profile.
-    pub fn reward_low_fn() -> Self {
-        Self {
-            a_tp: 1.0,
-            a_fp: -0.11,
-            a_fn: -2.0,
         }
     }
 }
@@ -229,7 +212,13 @@ mod tests {
         let w = nab_windows(&l);
         let detections = vec![w[0].start, w[1].start, 50, 100];
         let std = nab_score(&detections, &l, NabProfile::standard()).unwrap();
-        let low_fp = nab_score(&detections, &l, NabProfile::reward_low_fp()).unwrap();
+        // NAB's "reward low FP" profile: twice the standard FP penalty.
+        let low_fp = NabProfile {
+            a_tp: 1.0,
+            a_fp: -0.22,
+            a_fn: -1.0,
+        };
+        let low_fp = nab_score(&detections, &l, low_fp).unwrap();
         assert!(low_fp < std, "{low_fp} vs {std}");
     }
 

@@ -8,8 +8,6 @@ use rand::rngs::StdRng;
 use rand::Rng;
 use tsad_core::{Labels, Region};
 
-use crate::signal::standard_normal;
-
 /// Adds a point spike of the given magnitude at `at`.
 pub fn spike(x: &mut [f64], at: usize, magnitude: f64) -> Region {
     x[at] += magnitude;
@@ -31,21 +29,6 @@ pub fn level_shift(x: &mut [f64], at: usize, delta: f64) -> Region {
     Region::point(at)
 }
 
-/// Multiplies the noise in `[start, end)` by `factor` around the local mean
-/// (a variance change). Returns the affected region.
-pub fn variance_burst(
-    rng: &mut StdRng,
-    x: &mut [f64],
-    start: usize,
-    end: usize,
-    sigma: f64,
-) -> Region {
-    for v in &mut x[start..end] {
-        *v += sigma * standard_normal(rng);
-    }
-    Region { start, end }
-}
-
 /// Freezes the signal at its value at `start` for `[start, end)` — the NASA
 /// "dynamic series suddenly becoming exactly constant" pattern (Fig. 9).
 pub fn freeze(x: &mut [f64], start: usize, end: usize) -> Region {
@@ -53,14 +36,6 @@ pub fn freeze(x: &mut [f64], start: usize, end: usize) -> Region {
     for v in &mut x[start..end] {
         *v = held;
     }
-    Region { start, end }
-}
-
-/// Replaces `[start, start + donor.len())` with `donor` — the gait-swap
-/// construction of Fig. 12 (swapping in a cycle from the other foot).
-pub fn swap_in(x: &mut [f64], start: usize, donor: &[f64]) -> Region {
-    let end = start + donor.len();
-    x[start..end].copy_from_slice(donor);
     Region { start, end }
 }
 
@@ -199,24 +174,6 @@ mod tests {
         assert_eq!(&x[4..8], &[4.0, 4.0, 4.0, 4.0]);
         assert_eq!(x[8], 8.0);
         assert_eq!(r, Region { start: 4, end: 8 });
-    }
-
-    #[test]
-    fn swap_in_copies_donor() {
-        let mut x = vec![0.0; 8];
-        let r = swap_in(&mut x, 2, &[7.0, 8.0, 9.0]);
-        assert_eq!(x, vec![0.0, 0.0, 7.0, 8.0, 9.0, 0.0, 0.0, 0.0]);
-        assert_eq!(r, Region { start: 2, end: 5 });
-    }
-
-    #[test]
-    fn variance_burst_changes_only_region() {
-        let mut rng = StdRng::seed_from_u64(9);
-        let mut x = vec![0.0; 100];
-        variance_burst(&mut rng, &mut x, 40, 60, 1.0);
-        assert!(x[..40].iter().all(|&v| v == 0.0));
-        assert!(x[60..].iter().all(|&v| v == 0.0));
-        assert!(x[40..60].iter().any(|&v| v != 0.0));
     }
 
     #[test]

@@ -13,18 +13,6 @@ pub fn sine(n: usize, period: f64, amplitude: f64, phase: f64) -> Vec<f64> {
         .collect()
 }
 
-/// Sum of sinusoids, each `(period, amplitude, phase)` — the construction
-/// Yahoo's synthetic A3/A4 families use.
-pub fn sine_mixture(n: usize, components: &[(f64, f64, f64)]) -> Vec<f64> {
-    let mut out = vec![0.0; n];
-    for &(period, amplitude, phase) in components {
-        for (i, v) in out.iter_mut().enumerate() {
-            *v += amplitude * (std::f64::consts::TAU * i as f64 / period + phase).sin();
-        }
-    }
-    out
-}
-
 /// Linear trend `slope · i`.
 pub fn trend(n: usize, slope: f64) -> Vec<f64> {
     (0..n).map(|i| slope * i as f64).collect()
@@ -117,16 +105,6 @@ mod tests {
         assert!((s[0] - 0.0).abs() < 1e-12);
         assert!((s[25] - s[50]).abs() < 1e-9, "one period apart");
         assert!(s.iter().cloned().fold(0.0f64, f64::max) <= 2.0 + 1e-9);
-    }
-
-    #[test]
-    fn sine_mixture_superposes() {
-        let a = sine(50, 10.0, 1.0, 0.0);
-        let b = sine(50, 7.0, 0.5, 1.0);
-        let mix = sine_mixture(50, &[(10.0, 1.0, 0.0), (7.0, 0.5, 1.0)]);
-        for i in 0..50 {
-            assert!((mix[i] - (a[i] + b[i])).abs() < 1e-12);
-        }
     }
 
     #[test]
