@@ -5,8 +5,9 @@
 //! single effective thread, the hot kernels perform **zero** heap
 //! allocations: the FFT plan lookup, the sliding dot product into a
 //! caller-owned buffer, STOMP through its workspace entry point, the
-//! MERLIN length sweep through `merlin_into`, and one DRAG search through
-//! `drag_discord` (both draw their DRAG buffers from one scratch pool).
+//! MERLIN length sweep through `merlin_into`, its single-discord search
+//! `merlin_top`, and one DRAG search through `drag_discord` (all three
+//! draw their DRAG buffers from one scratch pool).
 //! The prefix join and the 1-NN detector built on it allocate exactly
 //! their outputs.
 //!
@@ -151,7 +152,7 @@ fn warm_merlin_is_allocation_free() {
     // performs zero heap allocations — with observability ON, like every
     // other contract in this file. A warm `drag_discord` takes its buffers
     // from the same pool, so it allocates nothing either.
-    use tsad_detectors::merlin::{drag_discord, merlin_into};
+    use tsad_detectors::merlin::{drag_discord, merlin_into, merlin_top};
     let x = series(400, 7);
     with_threads(1, || {
         let mut discords = Vec::new();
@@ -171,6 +172,15 @@ fn warm_merlin_is_allocation_free() {
         assert_eq!(allocs, 0, "warm drag_discord allocated");
         assert_eq!(warm, cold);
         assert_eq!(warm.map(|(start, _)| start), Some(discords[4].start));
+        // `merlin_top` keeps its one discord in the same pooled space
+        let cold = merlin_top(&x, 16, 24).unwrap();
+        let mut warm = None;
+        let allocs = count_allocs(|| {
+            warm = merlin_top(&x, 16, 24).unwrap();
+        });
+        assert_eq!(allocs, 0, "warm merlin_top allocated");
+        assert_eq!(warm, cold);
+        assert!(warm.is_some_and(|top| discords.contains(&top)));
     });
 }
 

@@ -3,8 +3,8 @@
 //! solve the challenging NASA examples.
 //!
 //! MERLIN removes the discord's one parameter (the subsequence length) by
-//! finding the top discord at *every* length in a range. Each per-length
-//! search uses DRAG (Yankov, Keogh & Rebbapragada, ICDM 2007):
+//! searching every length in a range. Each per-length search uses DRAG
+//! (Yankov, Keogh & Rebbapragada, ICDM 2007):
 //!
 //! 1. **Candidate selection**: a single pass keeps a set of subsequences
 //!    that could have a nearest neighbor farther than `r`.
@@ -13,9 +13,14 @@
 //!    drops below `r`, or so far that it can no longer beat the best
 //!    discord found so far.
 //!
-//! If `r` was too large (no candidates survive), MERLIN retries with a
-//! smaller `r`; between consecutive lengths it warm-starts `r` from the
-//! previous discord distance.
+//! Two searches share that core. [`merlin_into`] finds the top discord at
+//! every length: if `r` was too large (no candidates survive) it retries
+//! with a smaller `r`, and between consecutive lengths it warm-starts `r`
+//! from the previous discord distance. [`merlin_top`] keeps only the
+//! strongest length-normalized discord, so it searches the longest length
+//! exactly and every other length once, at the radius that length would
+//! need to beat the best `distance/√length` found so far; a length that
+//! cannot reach it is settled without a discord.
 //!
 //! Each pair costs one fused dot product over precomputed window moments
 //! (`crate::pair`, shared with HOT SAX). Both passes are one
@@ -35,11 +40,11 @@
 //! * dot products run four at a time against one window, each bitwise
 //!   equal to a lone one.
 //!
-//! The length sweep runs on `tsad-parallel` workers that claim one length
-//! at a time, with their buffers pooled; results are identical at every
-//! thread count.
+//! Both searches run on `tsad-parallel` workers that claim one length at a
+//! time, with their buffers pooled; results are identical at every thread
+//! count.
 
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 
 use tsad_core::dist::{corr_ceiling, corr_cut};
 use tsad_core::error::{CoreError, Result};
@@ -55,6 +60,9 @@ use crate::pair::{corr_parts, parts_distance, regular_sigmas, Lead};
 /// DRAG invocations — one per `(length, r)` attempt, so the ratio to the
 /// number of candidate lengths shows how often the `r` halving retried.
 static DRAG_PASSES: Counter = Counter::new("detectors.merlin.drag_passes");
+/// Lengths [`merlin_top`] closed without a discord: their single DRAG pass,
+/// at the radius the shared best demands, found no candidate.
+static LENGTHS_SETTLED: Counter = Counter::new("detectors.merlin.lengths_settled");
 /// Windows eliminated by phase 1 before refinement ever saw them.
 static WINDOWS_PRUNED: Counter = Counter::new("detectors.merlin.windows_pruned");
 /// Windows that survived phase 1 into the refinement pass.
@@ -495,34 +503,29 @@ fn discord_at_length(
         // search.
         found = scratch.pass(x, 0.0, backend);
     }
-    if let Some((start, distance)) = found {
-        *r_hint = Some(distance * 0.99);
-        Ok(LengthDiscord {
-            length: m,
-            start,
-            distance,
-        })
-    } else {
-        // Only reachable when every distance is non-finite (e.g. NaNs in
-        // every window): report discord distance 0.
-        *r_hint = None;
-        Ok(LengthDiscord {
-            length: m,
-            start: 0,
-            distance: 0.0,
-        })
-    }
+    *r_hint = found.map(|(_, distance)| distance * 0.99);
+    // `None` only when no window has a finite nearest-neighbor distance
+    // (every pair is a trivial match): report discord distance 0.
+    let (start, distance) = found.unwrap_or((0, 0.0));
+    Ok(LengthDiscord {
+        length: m,
+        start,
+        distance,
+    })
 }
 
-/// Pooled per-worker state for the MERLIN length sweep: the DRAG buffers,
-/// the discords of the lengths a worker claimed, and the smallest length
-/// offset it failed at (if any). Pooling these makes a warm
-/// [`merlin_into`] or [`drag_discord`] call fully allocation-free, and lets
-/// the workers of a multi-threaded sweep start from grown buffers.
+/// Pooled per-worker state for the MERLIN length searches: the DRAG
+/// buffers, the discords of the lengths a worker claimed ([`merlin_into`])
+/// or the strongest of them ([`merlin_top`]), and the smallest length
+/// offset (or length) it failed at, if any. Pooling these makes a warm
+/// [`merlin_into`], [`merlin_top`] or [`drag_discord`] call fully
+/// allocation-free, and lets the workers of a multi-threaded search start
+/// from grown buffers.
 #[derive(Debug, Default)]
 struct MerlinSpace {
     drag: DragScratch,
     part: Vec<LengthDiscord>,
+    top: Option<LengthDiscord>,
     err: Option<(usize, CoreError)>,
 }
 
@@ -553,15 +556,7 @@ pub fn merlin_into(
     max_len: usize,
     out: &mut Vec<LengthDiscord>,
 ) -> Result<()> {
-    ensure_finite(x)?;
-    if min_len == 0 || min_len > max_len {
-        return Err(CoreError::BadParameter {
-            name: "min_len",
-            value: min_len as f64,
-            expected: "0 < min_len <= max_len",
-        });
-    }
-    subsequence_count(x.len(), max_len)?;
+    check_lengths(x, min_len, max_len)?;
     let lengths = max_len - min_len + 1;
     let backend = simd::current();
     let base = out.len();
@@ -621,16 +616,130 @@ pub fn merlin(x: &[f64], min_len: usize, max_len: usize) -> Result<Vec<LengthDis
     Ok(out)
 }
 
+/// The checks both length searches make before searching any length: a
+/// finite input, `0 < min_len <= max_len`, and `max_len <= x.len()`.
+fn check_lengths(x: &[f64], min_len: usize, max_len: usize) -> Result<()> {
+    ensure_finite(x)?;
+    if min_len == 0 || min_len > max_len {
+        return Err(CoreError::BadParameter {
+            name: "min_len",
+            value: min_len as f64,
+            expected: "0 < min_len <= max_len",
+        });
+    }
+    subsequence_count(x.len(), max_len)?;
+    Ok(())
+}
+
+/// The relative margin by which [`merlin_top`]'s radius `b·√m·(1 − GUARD)`
+/// undercuts the distance `b·√m`; it absorbs the rounding of the radius
+/// and of `distance/√m` (DESIGN.md §11).
+const GUARD: f64 = 1e-9;
+
+/// A discord's length-normalized distance `distance/√length`, by which
+/// MERLIN compares lengths.
+fn strength(d: &LengthDiscord) -> f64 {
+    d.distance / (d.length as f64).sqrt()
+}
+
+/// [`merlin_top`]'s order: the larger strength, and between equal
+/// strengths the longer length, which is the maximum `Iterator::max_by`
+/// keeps (the last) when it folds the lengths in ascending order.
+fn stronger(a: &LengthDiscord, b: &LengthDiscord) -> bool {
+    strength(a)
+        .total_cmp(&strength(b))
+        .then(a.length.cmp(&b.length))
+        .is_gt()
+}
+
 /// The single strongest discord across all lengths, with distances
 /// length-normalized (divided by `√m`) so different lengths are comparable,
-/// as MERLIN recommends.
+/// as MERLIN recommends; between equal strengths the longest length wins.
+/// The result, and the error on bad input, are those of folding
+/// [`merlin`]'s output with `max_by` on `distance/√length`, bit for bit,
+/// at every thread count; it is never `None`.
+///
+/// Only one discord is kept, so a length is searched only as far as it
+/// takes to show that it cannot win. The longest length is searched
+/// exactly first, with [`merlin_into`]'s halving loop. The other lengths, longest
+/// first, go to `tsad-parallel` workers that claim one at a time, and
+/// each runs one DRAG pass at `r = b·√m·(1 − GUARD)`, where `b` is the
+/// best strength found so far by any worker. A length whose strength
+/// reaches `b` has its top discord at least `r` away from its nearest
+/// neighbor, so the pass returns that discord exactly; a pass that finds
+/// nothing proves the length scores below `b`, which the answer's
+/// strength is at least, so it could neither win nor tie (DESIGN.md §11).
 pub fn merlin_top(x: &[f64], min_len: usize, max_len: usize) -> Result<Option<LengthDiscord>> {
-    let all = merlin(x, min_len, max_len)?;
-    Ok(all.into_iter().max_by(|a, b| {
-        let na = a.distance / (a.length as f64).sqrt();
-        let nb = b.distance / (b.length as f64).sqrt();
-        na.total_cmp(&nb)
-    }))
+    check_lengths(x, min_len, max_len)?;
+    let backend = simd::current();
+    let mut space = MERLIN_POOL.take(MerlinSpace::default);
+    let seed = discord_at_length(x, max_len, backend, &mut space.drag, &mut None);
+    MERLIN_POOL.put(space);
+    // Only the longest length can have fewer than two windows, so an error
+    // here is the smallest failing length's.
+    let mut top = seed?;
+    let lengths = max_len - min_len;
+    // Strengths are finite and non-negative (never −0), so their bit
+    // patterns order as the values do and `fetch_max` raises the best.
+    // Relaxed: any value read is some length's strength, so a lower bound
+    // on the answer's, which is all the radius needs.
+    let best = AtomicU64::new(strength(&top).to_bits());
+    let next = AtomicUsize::new(0);
+    let mut first_err: Option<(usize, CoreError)> = None;
+    tsad_parallel::par_chunks_scratch(
+        &MERLIN_POOL,
+        tsad_parallel::current_threads().min(lengths),
+        MerlinSpace::default,
+        |space, _worker| {
+            space.top = None;
+            space.err = None;
+            loop {
+                let offset = next.fetch_add(1, Ordering::Relaxed);
+                if offset >= lengths {
+                    break;
+                }
+                let m = max_len - 1 - offset;
+                if let Err(e) = space.drag.prepare(x, m) {
+                    // Claims descend, so a later failure is a smaller
+                    // length; keep claiming, as every length must be seen.
+                    space.err = Some((m, e));
+                    continue;
+                }
+                let b = f64::from_bits(best.load(Ordering::Relaxed));
+                let r = b * (m as f64).sqrt() * (1.0 - GUARD);
+                // `None`: the length's top discord is nearer than `r` to
+                // its neighbor, or it has no finite distance and scores 0,
+                // which the longer seed's score of at least 0 beats.
+                let Some((start, distance)) = space.drag.pass(x, r, backend) else {
+                    LENGTHS_SETTLED.inc();
+                    continue;
+                };
+                let found = LengthDiscord {
+                    length: m,
+                    start,
+                    distance,
+                };
+                best.fetch_max(strength(&found).to_bits(), Ordering::Relaxed);
+                if space.top.is_none_or(|t| stronger(&found, &t)) {
+                    space.top = Some(found);
+                }
+            }
+        },
+        |space| {
+            if let Some(d) = space.top.take().filter(|d| stronger(d, &top)) {
+                top = d;
+            }
+            if let Some((m, e)) = space.err.take() {
+                if first_err.as_ref().is_none_or(|(f, _)| m < *f) {
+                    first_err = Some((m, e));
+                }
+            }
+        },
+    );
+    match first_err {
+        Some((_, e)) => Err(e),
+        None => Ok(Some(top)),
+    }
 }
 
 /// [`crate::Detector`] adapter over the MERLIN length sweep: the series
@@ -727,6 +836,48 @@ mod tests {
         let top = merlin_top(&x, 20, 28).unwrap().unwrap();
         assert!(top.distance > 0.0);
         assert!((20..=28).contains(&top.length));
+    }
+
+    /// `merlin_top` as the full sweep defines it: `max_by` over every
+    /// length's discord in length order.
+    fn full_sweep_top(x: &[f64], lo: usize, hi: usize) -> Result<Option<LengthDiscord>> {
+        Ok(merlin(x, lo, hi)?.into_iter().max_by(|a, b| {
+            let na = a.distance / (a.length as f64).sqrt();
+            let nb = b.distance / (b.length as f64).sqrt();
+            na.total_cmp(&nb)
+        }))
+    }
+
+    #[test]
+    fn merlin_top_fails_as_the_full_sweep_does() {
+        let x = anomalous_signal();
+        let short = &x[..50];
+        let mut nan = x.clone();
+        nan[40] = f64::NAN;
+        let cases: [(&[f64], usize, usize); 6] = [
+            (&x, 0, 10),
+            (&x, 12, 10),
+            (short, 30, 50),
+            (short, 50, 50),
+            (short, 10, 60),
+            (&nan, 16, 18),
+        ];
+        for t in [1, 2, 8] {
+            for (x, lo, hi) in cases {
+                let want = full_sweep_top(x, lo, hi);
+                assert!(want.is_err(), "{lo}..={hi}");
+                let got = tsad_parallel::with_threads(t, || merlin_top(x, lo, hi));
+                assert_eq!(got, want, "{lo}..={hi} at {t} threads");
+            }
+        }
+        // the longest length's single window is the smallest failure
+        assert_eq!(
+            merlin_top(short, 30, 50),
+            Err(CoreError::BadWindow {
+                window: 50,
+                len: 50
+            })
+        );
     }
 
     #[test]

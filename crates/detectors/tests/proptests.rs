@@ -7,7 +7,7 @@ use tsad_core::windows::WindowMoments;
 use tsad_core::{Labels, Region, TimeSeries};
 use tsad_detectors::hotsax::{hotsax_discord, HotSaxConfig};
 use tsad_detectors::matrix_profile::{stomp, stomp_metric, ProfileMetric};
-use tsad_detectors::merlin::drag_discord;
+use tsad_detectors::merlin::{drag_discord, merlin, merlin_top, LengthDiscord};
 use tsad_detectors::oneliner::{equation, solves, Equation, Expr, OneLiner};
 use tsad_detectors::telemanom::ewma;
 use tsad_detectors::threshold::{discrimination_ratio, top_k_peaks};
@@ -210,6 +210,61 @@ proptest! {
                     want.map(|(i, d)| (i, d.to_bits())),
                     "{} kind={} m={} r={}", be.name(), kind, m, r
                 );
+            }
+        }
+    }
+
+    #[test]
+    fn merlin_top_is_the_full_sweep_fold(
+        mut x in signal(60, 160),
+        lo in 3usize..12,
+        extra in 0usize..10,
+        kind in 0usize..5,
+        at in 0usize..160,
+        span in 1usize..40,
+    ) {
+        let n = x.len();
+        let at = at % (n - span);
+        let hi = lo + extra;
+        match kind {
+            // every length scores 0: the longest must win the tie
+            0 => x.fill(2.5),
+            1 => x[at..at + span].fill(-3.25),
+            2 => {
+                let len = span.min(n - at).min(at);
+                let head = x[..len].to_vec();
+                x[at..at + len].copy_from_slice(&head);
+            }
+            3 => {
+                for (k, b) in [40.0, -90.0, 40.0].into_iter().enumerate() {
+                    x[(at + k) % n] += b;
+                    x[(at + n / 2 + k) % n] += b;
+                }
+            }
+            _ => x.iter_mut().for_each(|v| *v = 1e6 + *v * 1e-2),
+        }
+        let key = |d: LengthDiscord| (d.length, d.start, d.distance.to_bits());
+        let backends = [Backend::Scalar, Backend::Avx2, Backend::Sse2, Backend::Neon];
+        // the ambient count (`TSAD_THREADS`) too, so a CI matrix adds its own
+        let threads = [tsad_parallel::current_threads(), 1, 2, 8];
+        for be in backends.into_iter().filter(|b| b.is_supported()) {
+            let sweep = simd::with_backend(be, || merlin(&x, lo, hi).unwrap());
+            let want = sweep
+                .into_iter()
+                .max_by(|a, b| {
+                    let na = a.distance / (a.length as f64).sqrt();
+                    let nb = b.distance / (b.length as f64).sqrt();
+                    na.total_cmp(&nb)
+                })
+                .map(key);
+            if kind == 0 {
+                prop_assert_eq!(want, Some((hi, 0, 0.0f64.to_bits())));
+            }
+            for t in threads {
+                let got = simd::with_backend(be, || {
+                    tsad_parallel::with_threads(t, || merlin_top(&x, lo, hi).unwrap())
+                });
+                prop_assert_eq!(got.map(key), want, "{} kind={} {}..={} t={}", be.name(), kind, lo, hi, t);
             }
         }
     }
