@@ -944,21 +944,74 @@ mod tests {
         assert_eq!(conn.output().len(), before);
     }
 
+    /// A log that refuses every append: the engine answers `Internal`.
+    struct FailLog;
+
+    impl BatchLog for FailLog {
+        fn append(&self, _batch: &[(SeriesId, f64)]) -> std::io::Result<u64> {
+            Err(std::io::Error::other("disk gone"))
+        }
+    }
+
+    fn failing_engine() -> Engine<TestFactory, FailLog> {
+        fn spawn(_id: u64) -> StreamingGlobalZScore {
+            StreamingGlobalZScore::new(2).unwrap()
+        }
+        Engine::with_log(
+            Fleet::new(
+                FnFactory(spawn as fn(u64) -> StreamingGlobalZScore),
+                FleetConfig::default(),
+            ),
+            EngineConfig::default(),
+            FailLog,
+        )
+    }
+
+    /// Feeds `req` to a fresh connection: `(response bytes, wants_close)`.
+    fn answer<L: BatchLog>(e: &Engine<TestFactory, L>, req: &[u8]) -> (Vec<u8>, bool) {
+        let mut conn = Conn::new(ConnConfig::default());
+        conn.feed(req, e);
+        assert_eq!(conn.requests(), 1);
+        (conn.output().to_vec(), conn.wants_close())
+    }
+
     #[test]
     fn http_busy_gets_503_with_retry_after() {
-        let e = engine(EngineConfig {
+        let req = b"POST /ingest HTTP/1.1\r\nContent-Length: 12\r\n\r\n1 1.0\n2 2.0\n";
+        let busy = engine(EngineConfig {
             max_inflight_points: 0,
             ..EngineConfig::default()
         });
-        let mut conn = Conn::new(ConnConfig::default());
-        conn.feed(
-            b"POST /ingest HTTP/1.1\r\nContent-Length: 6\r\n\r\n1 1.0\n",
-            &e,
+        let (resp, close) = answer(&busy, req);
+        assert_eq!(
+            String::from_utf8(resp).unwrap(),
+            "HTTP/1.1 503 Service Unavailable\r\nContent-Type: application/json\r\n\
+             Content-Length: 32\r\nRetry-After: 1\r\nConnection: keep-alive\r\n\r\n\
+             {\"error\":\"over capacity, retry\"}"
         );
-        let resp = response_string(&conn);
-        assert!(resp.starts_with("HTTP/1.1 503"), "{resp}");
-        assert!(resp.contains("Retry-After: 1"), "{resp}");
-        assert!(!conn.wants_close(), "backpressure keeps the conn open");
+        assert!(!close, "backpressure keeps the conn open");
+
+        // the engine's other two refusals close the connection
+        let too_large = engine(EngineConfig {
+            max_batch_points: 1,
+            ..EngineConfig::default()
+        });
+        let (resp, close) = answer(&too_large, req);
+        assert_eq!(
+            String::from_utf8(resp).unwrap(),
+            "HTTP/1.1 413 Payload Too Large\r\nContent-Type: application/json\r\n\
+             Content-Length: 36\r\nConnection: close\r\n\r\n\
+             {\"error\":\"batch exceeds max points\"}"
+        );
+        assert!(close);
+        let (resp, close) = answer(&failing_engine(), req);
+        assert_eq!(
+            String::from_utf8(resp).unwrap(),
+            "HTTP/1.1 500 Internal Server Error\r\nContent-Type: application/json\r\n\
+             Content-Length: 49\r\nConnection: close\r\n\r\n\
+             {\"error\":\"durability failure, batch not applied\"}"
+        );
+        assert!(close);
     }
 
     #[test]
@@ -1048,18 +1101,40 @@ mod tests {
 
     #[test]
     fn binary_busy_gets_retry_frame_and_stays_open() {
-        let e = engine(EngineConfig {
+        let mut payload = Vec::new();
+        frame::write_point(&mut payload, 1, 1.0);
+        frame::write_point(&mut payload, 2, 2.0);
+        let mut req = Vec::new();
+        frame::write_frame(&mut req, T_INGEST, &payload);
+        let busy = engine(EngineConfig {
             max_inflight_points: 0,
             ..EngineConfig::default()
         });
-        let mut conn = Conn::new(ConnConfig::default());
-        let mut payload = Vec::new();
-        frame::write_point(&mut payload, 1, 1.0);
-        let mut req = Vec::new();
-        frame::write_frame(&mut req, T_INGEST, &payload);
-        conn.feed(&req, &e);
-        assert_eq!(conn.output()[2], T_RETRY);
-        assert!(!conn.wants_close());
+        let (resp, close) = answer(&busy, &req);
+        assert_eq!(resp, [0xB5, 1, T_RETRY, 0, 0, 0, 0, 0]);
+        assert!(!close);
+
+        // the engine's other two refusals are ERROR frames, which close
+        let error_frame = |code: u16, detail: &str| {
+            let mut f = vec![0xB5, 1, T_ERROR, 0];
+            f.extend_from_slice(&(2 + detail.len() as u32).to_le_bytes());
+            f.extend_from_slice(&code.to_le_bytes());
+            f.extend_from_slice(detail.as_bytes());
+            f
+        };
+        let too_large = engine(EngineConfig {
+            max_batch_points: 1,
+            ..EngineConfig::default()
+        });
+        let (resp, close) = answer(&too_large, &req);
+        assert_eq!(resp, error_frame(413, "batch exceeds max points"));
+        assert!(close);
+        let (resp, close) = answer(&failing_engine(), &req);
+        assert_eq!(
+            resp,
+            error_frame(500, "durability failure, batch not applied")
+        );
+        assert!(close);
     }
 
     #[test]
