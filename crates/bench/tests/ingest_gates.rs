@@ -2,7 +2,9 @@
 //! installed in *this* binary (like `repro` does):
 //!
 //! * a warm request path allocates **zero** heap memory per request, on
-//!   both transports, with observability ON;
+//!   both transports, with observability ON — batches and the non-batch
+//!   requests alike, since every request runs through the same handler;
+//!   a snapshot allocates only what the fleet checkpoint itself does;
 //! * disabling observability (`TSAD_OBS=0`, here via the thread-scoped
 //!   [`tsad_obs::with_enabled`]) keeps the path allocation-free and leaves
 //!   the response bytes **bitwise identical** — the kill switch changes
@@ -18,6 +20,7 @@ use std::fmt::Write as _;
 use tsad_bench::alloc_track::{count_allocs, counting_allocator_active};
 use tsad_fleet::{Fleet, FleetConfig};
 use tsad_ingest::{frame, Conn, ConnConfig, Engine, EngineConfig};
+use tsad_parallel::with_threads;
 use tsad_stream::{FnFactory, StreamingGlobalZScore};
 
 type TestFactory = FnFactory<fn(u64) -> StreamingGlobalZScore>;
@@ -75,6 +78,48 @@ fn binary_request(round: u64) -> Vec<u8> {
     req
 }
 
+/// One binary frame with an 8-byte id payload (`QUERY`) or none.
+fn binary_frame(ftype: u8, payload: &[u8]) -> Vec<u8> {
+    let mut req = Vec::new();
+    frame::write_frame(&mut req, ftype, payload);
+    req
+}
+
+/// The HTTP requests besides batches that a warm connection answers
+/// without allocating: a query hit and miss, stats and health.
+fn http_non_batch() -> Vec<Vec<u8>> {
+    [
+        "GET /query?id=3 HTTP/1.1\r\n\r\n",
+        "GET /query?id=999999 HTTP/1.1\r\n\r\n",
+        "GET /stats HTTP/1.1\r\n\r\n",
+        "GET /healthz HTTP/1.1\r\n\r\n",
+    ]
+    .iter()
+    .map(|r| r.as_bytes().to_vec())
+    .collect()
+}
+
+/// The binary counterpart: a query hit and miss, and a ping.
+fn binary_non_batch() -> Vec<Vec<u8>> {
+    vec![
+        binary_frame(frame::T_QUERY, &3u64.to_le_bytes()),
+        binary_frame(frame::T_QUERY, &999_999u64.to_le_bytes()),
+        binary_frame(frame::T_PING, &[]),
+    ]
+}
+
+/// Interleaves `extra` after every eighth batch request.
+fn with_non_batch(batches: Vec<Vec<u8>>, extra: &[Vec<u8>]) -> Vec<Vec<u8>> {
+    let mut out = Vec::new();
+    for (i, req) in batches.into_iter().enumerate() {
+        out.push(req);
+        if i % 8 == 7 {
+            out.extend(extra.iter().cloned());
+        }
+    }
+    out
+}
+
 /// Feeds one request and returns a copy of the response (consuming it from
 /// the connection so buffers stay warm).
 fn roundtrip(conn: &mut Conn, engine: &Engine<TestFactory>, request: &[u8]) -> Vec<u8> {
@@ -120,14 +165,42 @@ fn assert_zero_alloc_warm(requests: &[Vec<u8>]) {
 
 #[test]
 fn warm_http_request_path_is_allocation_free_with_obs_on() {
-    let requests: Vec<Vec<u8>> = (0..48).map(http_request).collect();
+    let requests = with_non_batch((0..48).map(http_request).collect(), &http_non_batch());
     assert_zero_alloc_warm(&requests);
 }
 
 #[test]
 fn warm_binary_request_path_is_allocation_free_with_obs_on() {
-    let requests: Vec<Vec<u8>> = (0..48).map(binary_request).collect();
+    let requests = with_non_batch((0..48).map(binary_request).collect(), &binary_non_batch());
     assert_zero_alloc_warm(&requests);
+}
+
+#[test]
+fn a_warm_snapshot_request_allocates_only_the_checkpoint() {
+    // a snapshot serializes the fleet, which allocates the checkpoint
+    // buffers; the request around it (parse, handle, respond) must add
+    // nothing. One thread, so the checkpoint's own count is exact.
+    with_threads(1, || {
+        let http = b"POST /snapshot HTTP/1.1\r\n\r\n".to_vec();
+        let binary = binary_frame(frame::T_SNAPSHOT, &[]);
+        let batch: [fn(u64) -> Vec<u8>; 2] = [http_request, binary_request];
+        for (snapshot, batch) in [http, binary].into_iter().zip(batch) {
+            let engine = new_engine();
+            let mut conn = Conn::new(ConnConfig::default());
+            for round in 0..8 {
+                roundtrip(&mut conn, &engine, &batch(round));
+            }
+            for _ in 0..2 {
+                roundtrip(&mut conn, &engine, &snapshot);
+            }
+            let direct = count_allocs(|| {
+                std::hint::black_box(engine.snapshot_info());
+            });
+            let served = count_allocs(|| roundtrip_counted(&mut conn, &engine, &snapshot));
+            assert!(direct > 0, "the checkpoint allocates its buffers");
+            assert_eq!(served, direct, "the snapshot request path allocated");
+        }
+    });
 }
 
 #[test]
