@@ -10,7 +10,11 @@
 //!
 //! The first byte of a connection selects the transport: `0xB5`
 //! ([`frame::FRAME_MAGIC`]) is not a valid first byte of an HTTP method,
-//! so binary framing and HTTP/1.1 share a port unambiguously.
+//! so binary framing and HTTP/1.1 share a port unambiguously. After that,
+//! each request runs decode → handle → encode: the transport decodes its
+//! framing into one `Request`, `Conn::handle` answers it the same way
+//! for both (and counts it), and the transport's writer encodes the
+//! outcome with its own close rule.
 //!
 //! All buffers (`in_buf`, `out`, the decoded point batch, the fleet's
 //! [`BatchOutput`], the response-body scratch) are owned by the
@@ -24,7 +28,7 @@ use std::time::Instant;
 use tsad_fleet::{BatchOutput, SeriesId};
 use tsad_stream::DetectorFactory;
 
-use crate::engine::{BatchLog, Engine, SubmitError, SubmitTiming};
+use crate::engine::{BatchLog, Engine, EngineTotals, SubmitError, SubmitTiming};
 use crate::frame::{
     self, FrameError, FRAME_MAGIC, HEADER_LEN, T_ACK, T_ERROR, T_INGEST, T_PING, T_PONG, T_QUERY,
     T_QUERY_RESP, T_RETRY, T_SCORE, T_SCORES, T_SNAPSHOT, T_SNAP_RESP,
@@ -62,22 +66,120 @@ enum Mode {
     Binary,
 }
 
-/// An HTTP request reduced to owned routing data (so the borrow of the
-/// input buffer can end before buffers are mutated).
+/// One request, decoded from either transport.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum HttpRoute {
-    /// `POST /ingest` (`score=false`) or `POST /score` (`score=true`).
+enum Request {
+    /// `POST /ingest` / `INGEST` (`score=false`) or `POST /score` /
+    /// `SCORE` (`score=true`); the points are in `Conn::batch`.
+    Batch { score: bool },
+    /// `GET /query?id=` / `QUERY`; `None` when the id parameter is
+    /// missing or not a number.
+    Query(Option<u64>),
+    /// `GET /stats`.
+    Stats,
+    /// `POST /snapshot` / `SNAPSHOT`.
+    Snapshot,
+    /// `GET /healthz`.
+    Healthz,
+    /// `PING`.
+    Ping,
+    /// An HTTP path no endpoint serves.
+    NotFound,
+    /// A known HTTP path under the wrong method.
+    MethodNotAllowed,
+}
+
+/// What the handler answered, for a transport writer to encode.
+#[derive(Debug, Clone, Copy)]
+enum Reply {
+    /// The batch was applied; the fleet's report is in `Conn::bout`.
     Batch {
         score: bool,
     },
     Query {
-        id: Option<u64>,
+        id: u64,
+        resident: bool,
+        shard: usize,
     },
-    Stats,
-    Snapshot,
-    Healthz,
+    Stats {
+        totals: EngineTotals,
+        series: usize,
+        bytes: usize,
+        batches: u64,
+    },
+    Snapshot {
+        bytes: usize,
+        segments: usize,
+        series: usize,
+    },
+    /// `Engine::healthy`.
+    Health(bool),
+    Pong,
+}
+
+/// Why a request was refused.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Refusal {
+    /// Over the in-flight cap: backpressure, never an error.
+    Busy,
+    /// The batch exceeds `max_batch_points`.
+    TooLarge,
+    /// The durability hook failed; the batch was not applied.
+    Internal,
+    /// A malformed head, frame or body.
+    BadRequest(&'static str),
     NotFound,
     MethodNotAllowed,
+    /// The declared HTTP body exceeds `max_body_bytes`.
+    BodyTooLarge,
+    /// The HTTP head exceeds `max_head_bytes`.
+    HeadTooLarge,
+    /// Not HTTP/1.0 or 1.1.
+    VersionUnsupported,
+}
+
+impl Refusal {
+    /// HTTP status, reason phrase and error detail. A binary `ERROR`
+    /// frame carries the same status as its code (`Busy` is `RETRY`).
+    fn status(self) -> (u16, &'static str, &'static str) {
+        match self {
+            Self::Busy => (503, "Service Unavailable", "over capacity, retry"),
+            Self::TooLarge => (413, "Payload Too Large", "batch exceeds max points"),
+            Self::Internal => (
+                500,
+                "Internal Server Error",
+                "durability failure, batch not applied",
+            ),
+            Self::BadRequest(detail) => (400, "Bad Request", detail),
+            Self::NotFound => (404, "Not Found", "no such endpoint"),
+            Self::MethodNotAllowed => (405, "Method Not Allowed", "wrong method"),
+            Self::BodyTooLarge => (413, "Payload Too Large", "body exceeds the configured cap"),
+            Self::HeadTooLarge => (
+                431,
+                "Request Header Fields Too Large",
+                "request head too large",
+            ),
+            Self::VersionUnsupported => (
+                505,
+                "HTTP Version Not Supported",
+                "only HTTP/1.0 and 1.1 are supported",
+            ),
+        }
+    }
+}
+
+/// What one decode attempt found at the front of the input buffer.
+enum Decoded {
+    /// No complete request yet: wait for more bytes.
+    Partial,
+    /// The framing is broken: refuse and close, reading nothing more.
+    Fatal(Refusal),
+    /// One whole request, taken off the buffer; `Err` when its body did
+    /// not decode. `keep_alive` is HTTP's connection verdict.
+    Request {
+        request: Result<Request, Refusal>,
+        keep_alive: bool,
+    },
 }
 
 /// One connection's protocol state and reusable buffers.
@@ -132,16 +234,7 @@ impl Conn {
                 None => return,
             }
         }
-        while !self.closing {
-            let progressed = match self.mode {
-                Mode::Http => self.step_http(engine),
-                Mode::Binary => self.step_binary(engine),
-                Mode::Sniff => false,
-            };
-            if !progressed {
-                break;
-            }
-        }
+        while !self.closing && self.step(engine) {}
     }
 
     /// Response bytes awaiting the socket layer.
@@ -170,13 +263,9 @@ impl Conn {
         self.requests
     }
 
-    // ------------------------------------------------------------------
-    // HTTP transport
-    // ------------------------------------------------------------------
-
-    /// Tries to process one HTTP request from the buffer. Returns true
-    /// when it consumed input (try again for pipelined requests).
-    fn step_http<F, L>(&mut self, engine: &Engine<F, L>) -> bool
+    /// Decodes, handles and answers one request from the buffer. Returns
+    /// true when it answered one (try again for pipelined requests).
+    fn step<F, L>(&mut self, engine: &Engine<F, L>) -> bool
     where
         F: DetectorFactory,
         F::Detector: Sync,
@@ -187,306 +276,89 @@ impl Conn {
         }
         let obs = tsad_obs::enabled();
         let t_parse = obs.then(Instant::now);
-
-        let head = match parse_head(&self.in_buf, self.cfg.max_head_bytes) {
-            Ok(Some(head)) => head,
-            Ok(None) => {
-                self.accumulate_parse(t_parse);
-                return false;
-            }
-            Err(err) => {
-                self.accumulate_parse(t_parse);
-                let (status, reason) = match err {
-                    HttpError::BadRequest(_) => (400, "Bad Request"),
-                    HttpError::HeadTooLarge => (431, "Request Header Fields Too Large"),
-                    HttpError::VersionUnsupported => (505, "HTTP Version Not Supported"),
-                };
-                let detail = match err {
-                    HttpError::BadRequest(d) => d,
-                    HttpError::HeadTooLarge => "request head too large",
-                    HttpError::VersionUnsupported => "only HTTP/1.0 and 1.1 are supported",
-                };
-                self.http_error(status, reason, detail, false);
-                return false;
-            }
+        let decoded = match self.mode {
+            Mode::Http => self.decode_http(),
+            Mode::Binary => self.decode_binary(),
+            Mode::Sniff => Decoded::Partial,
         };
-
-        let head_len = head.head_len;
-        let content_length = head.content_length;
-        let keep_alive = head.keep_alive;
-        let route = route_http(head.method, head.path, head.query);
-
-        if content_length > self.cfg.max_body_bytes {
-            self.accumulate_parse(t_parse);
-            self.http_error(
-                413,
-                "Payload Too Large",
-                "body exceeds the configured cap",
-                false,
-            );
-            return false;
-        }
-        let total = head_len + content_length;
-        if self.in_buf.len() < total {
-            self.accumulate_parse(t_parse);
-            return false; // waiting for the body
-        }
-
-        // The head is fully parsed and the body is buffered: decode it.
-        let body_ok = match route {
-            HttpRoute::Batch { .. } => {
-                decode_text_body(&self.in_buf[head_len..total], &mut self.batch)
-            }
-            _ => Ok(()),
-        };
-        self.in_buf.drain(..total);
-        let parse_ns = self.take_parse(t_parse);
-
         let mut timing = SubmitTiming::default();
-        let mut status_err = None;
-        let mut t_route_ns = 0u64;
-        match (&route, body_ok) {
-            (_, Err(detail)) => status_err = Some((400, "Bad Request", detail)),
-            (HttpRoute::Batch { .. }, Ok(())) => {
-                match engine.submit(&self.batch, &mut self.bout, &mut timing) {
-                    Ok(()) => {}
-                    Err(SubmitError::Busy) => {
-                        status_err = Some((503, "Service Unavailable", "over capacity, retry"))
-                    }
-                    Err(SubmitError::TooLarge) => {
-                        status_err = Some((413, "Payload Too Large", "batch exceeds max points"))
-                    }
-                    Err(SubmitError::Internal) => {
-                        status_err = Some((
-                            500,
-                            "Internal Server Error",
-                            "durability failure, batch not applied",
-                        ))
-                    }
-                }
+        let (request, keep_alive) = match decoded {
+            Decoded::Partial => {
+                self.accumulate_parse(t_parse);
+                return false;
             }
-            (other, Ok(())) => {
-                // Non-batch endpoints: the route stage is the handler.
-                let t_route = obs.then(Instant::now);
-                match other {
-                    HttpRoute::Query { id: Some(_) } => {}
-                    HttpRoute::Query { id: None } => {
-                        status_err = Some((400, "Bad Request", "missing or bad id parameter"))
-                    }
-                    HttpRoute::NotFound => {
-                        status_err = Some((404, "Not Found", "no such endpoint"))
-                    }
-                    HttpRoute::MethodNotAllowed => {
-                        status_err = Some((405, "Method Not Allowed", "wrong method"))
-                    }
-                    _ => {}
-                }
-                if let Some(t) = t_route {
-                    t_route_ns = elapsed_ns(t);
-                    INGEST_ROUTE_NS.record(t_route_ns);
-                }
+            Decoded::Fatal(refusal) => {
+                // answered and counted, but not timed: the stages cover
+                // requests that were read whole
+                let outcome = self.handle(Err(refusal), engine, &mut timing);
+                self.encode(&outcome, false);
+                return false;
             }
-        }
-
+            Decoded::Request {
+                request,
+                keep_alive,
+            } => (request, keep_alive),
+        };
+        let parse_ns = self.take_parse(t_parse);
+        let outcome = self.handle(request, engine, &mut timing);
         let t_respond = obs.then(Instant::now);
-        match status_err {
-            Some((status, reason, detail)) => {
-                // Parse/body errors and durability failures close;
-                // semantic refusals keep alive.
-                let ka = keep_alive && status != 400 && status != 413 && status != 500;
-                self.http_error_keep(status, reason, detail, ka, status == 503);
-                if status != 503 {
-                    INGEST_ERRORS.inc(); // 503 is backpressure, not an error
-                }
-            }
-            None => match route {
-                HttpRoute::Batch { score } => self.http_batch_response(score, keep_alive),
-                HttpRoute::Query { id: Some(id) } => {
-                    let (resident, shard) = engine.query(SeriesId(id));
-                    self.body_scratch.clear();
-                    let _ = write!(
-                        self.body_scratch,
-                        "{{\"id\":{id},\"resident\":{resident},\"shard\":{shard}}}"
-                    );
-                    let status = if resident {
-                        (200, "OK")
-                    } else {
-                        (404, "Not Found")
-                    };
-                    self.http_response(status.0, status.1, "application/json", keep_alive, false);
-                }
-                HttpRoute::Stats => {
-                    let totals = engine.totals();
-                    let (series, bytes, batches) = engine.fleet_stats();
-                    self.body_scratch.clear();
-                    let _ = write!(
-                        self.body_scratch,
-                        "{{\"series\":{series},\"bytes\":{bytes},\"fleet_batches\":{batches},\
-                         \"batches\":{},\"points\":{},\"scores\":{},\"spawned\":{},\
-                         \"quarantined\":{},\"evicted\":{},\"rejected\":{}}}",
-                        totals.batches,
-                        totals.points,
-                        totals.scores,
-                        totals.spawned,
-                        totals.quarantined,
-                        totals.evicted,
-                        totals.rejected,
-                    );
-                    self.http_response(200, "OK", "application/json", keep_alive, false);
-                }
-                HttpRoute::Snapshot => {
-                    let (bytes, segments, series) = engine.snapshot_info();
-                    self.body_scratch.clear();
-                    let _ = write!(
-                        self.body_scratch,
-                        "{{\"bytes\":{bytes},\"segments\":{segments},\"series\":{series}}}"
-                    );
-                    self.http_response(200, "OK", "application/json", keep_alive, false);
-                }
-                HttpRoute::Healthz => {
-                    self.body_scratch.clear();
-                    let (status, reason, body): (u16, &str, &[u8]) = if engine.healthy() {
-                        (200, "OK", b"ok\n")
-                    } else {
-                        (503, "Service Unavailable", b"engine unavailable\n")
-                    };
-                    self.body_scratch.extend_from_slice(body);
-                    self.http_response(status, reason, "text/plain", keep_alive, false);
-                }
-                HttpRoute::Query { id: None }
-                | HttpRoute::NotFound
-                | HttpRoute::MethodNotAllowed => unreachable!("handled as status_err"),
-            },
+        self.encode(&outcome, keep_alive);
+        if let Some(t) = t_respond {
+            record_stages(parse_ns, &timing, elapsed_ns(t));
         }
-        self.finish_request(obs, parse_ns, t_route_ns, &timing, t_respond);
         true
     }
 
-    /// Formats the `POST /ingest` / `POST /score` success response from
-    /// the fleet's batch output.
-    fn http_batch_response(&mut self, score: bool, keep_alive: bool) {
-        self.body_scratch.clear();
-        let b = &mut self.body_scratch;
-        let _ = write!(
-            b,
-            "{{\"points\":{},\"spawned\":{},\"quarantined\":{},\"evicted\":{}",
-            self.bout.points,
-            self.bout.spawned,
-            self.bout.quarantined.len(),
-            self.bout.evicted.len(),
-        );
-        if score {
-            b.extend_from_slice(b",\"scores\":[");
-            for (i, s) in self.bout.scores.iter().enumerate() {
-                if i > 0 {
-                    b.push(b',');
-                }
-                let _ = write!(
-                    b,
-                    "{{\"index\":{},\"id\":{},\"score\":",
-                    s.batch_index, s.id.0
-                );
-                if s.score.is_finite() {
-                    let _ = write!(b, "{}", s.score);
-                } else {
-                    b.extend_from_slice(b"null"); // JSON has no NaN/Infinity
-                }
-                b.push(b'}');
+    // ------------------------------------------------------------------
+    // Decode: each transport's framing into one `Request`
+    // ------------------------------------------------------------------
+
+    /// Decodes one HTTP request: head, route, and for a batch the body.
+    fn decode_http(&mut self) -> Decoded {
+        let head = match parse_head(&self.in_buf, self.cfg.max_head_bytes) {
+            Ok(Some(head)) => head,
+            Ok(None) => return Decoded::Partial,
+            Err(HttpError::BadRequest(detail)) => {
+                return Decoded::Fatal(Refusal::BadRequest(detail))
             }
-            b.push(b']');
-        } else {
-            let _ = write!(b, ",\"scores\":{}", self.bout.scores.len());
+            Err(HttpError::HeadTooLarge) => return Decoded::Fatal(Refusal::HeadTooLarge),
+            Err(HttpError::VersionUnsupported) => {
+                return Decoded::Fatal(Refusal::VersionUnsupported)
+            }
+        };
+        if head.content_length > self.cfg.max_body_bytes {
+            return Decoded::Fatal(Refusal::BodyTooLarge);
         }
-        b.push(b'}');
-        self.http_response(200, "OK", "application/json", keep_alive, false);
-    }
-
-    /// Writes status line + headers + the body in `body_scratch`.
-    fn http_response(
-        &mut self,
-        status: u16,
-        reason: &str,
-        content_type: &str,
-        keep_alive: bool,
-        retry_after: bool,
-    ) {
-        let out = &mut self.out;
-        let _ = write!(
-            out,
-            "HTTP/1.1 {status} {reason}\r\nContent-Type: {content_type}\r\n"
-        );
-        let _ = write!(out, "Content-Length: {}\r\n", self.body_scratch.len());
-        if retry_after {
-            out.extend_from_slice(b"Retry-After: 1\r\n");
+        let total = head.head_len + head.content_length;
+        if self.in_buf.len() < total {
+            return Decoded::Partial; // waiting for the body
         }
-        out.extend_from_slice(if keep_alive {
-            b"Connection: keep-alive\r\n\r\n"
-        } else {
-            b"Connection: close\r\n\r\n"
-        });
-        out.extend_from_slice(&self.body_scratch);
-        if !keep_alive {
-            self.closing = true;
+        let (head_len, keep_alive) = (head.head_len, head.keep_alive);
+        let mut request = Ok(route_http(head.method, head.path, head.query));
+        if let Ok(Request::Batch { .. }) = request {
+            if let Err(detail) = decode_text_body(&self.in_buf[head_len..total], &mut self.batch) {
+                request = Err(Refusal::BadRequest(detail));
+            }
+        }
+        self.in_buf.drain(..total);
+        Decoded::Request {
+            request,
+            keep_alive,
         }
     }
 
-    /// A parse-failure response: always closes and accounts the request
-    /// here (the caller returns without reaching `finish_request`).
-    fn http_error(&mut self, status: u16, reason: &str, detail: &str, retry_after: bool) {
-        self.http_error_keep(status, reason, detail, false, retry_after);
-        INGEST_ERRORS.inc();
-        INGEST_REQUESTS.inc();
-        self.requests += 1;
-    }
-
-    /// Formats an error response (no accounting — callers differ).
-    fn http_error_keep(
-        &mut self,
-        status: u16,
-        reason: &str,
-        detail: &str,
-        keep_alive: bool,
-        retry_after: bool,
-    ) {
-        self.body_scratch.clear();
-        let _ = write!(self.body_scratch, "{{\"error\":\"{detail}\"}}");
-        self.http_response(status, reason, "application/json", keep_alive, retry_after);
-    }
-
-    // ------------------------------------------------------------------
-    // Binary transport
-    // ------------------------------------------------------------------
-
-    /// Tries to process one binary frame from the buffer. Returns true
-    /// when it consumed input.
-    fn step_binary<F, L>(&mut self, engine: &Engine<F, L>) -> bool
-    where
-        F: DetectorFactory,
-        F::Detector: Sync,
-        L: BatchLog,
-    {
-        if self.in_buf.is_empty() {
-            return false;
-        }
-        let obs = tsad_obs::enabled();
-        let t_parse = obs.then(Instant::now);
-
+    /// Decodes one binary frame: header, type, payload.
+    fn decode_binary(&mut self) -> Decoded {
         let header = match frame::parse_header(&self.in_buf, self.cfg.max_body_bytes) {
             Ok(Some(h)) => h,
-            Ok(None) => {
-                self.accumulate_parse(t_parse);
-                return false;
-            }
+            Ok(None) => return Decoded::Partial,
             Err(err) => {
-                self.accumulate_parse(t_parse);
-                let detail = match err {
+                return Decoded::Fatal(Refusal::BadRequest(match err {
                     FrameError::BadMagic => "bad frame magic",
                     FrameError::BadVersion => "unsupported frame version",
                     FrameError::BadReserved => "nonzero reserved byte",
                     FrameError::Oversized => "declared payload exceeds the cap",
-                };
-                self.binary_error(400, detail);
-                return false;
+                }))
             }
         };
         // Unknown types are rejected from the header alone — no point
@@ -495,126 +367,275 @@ impl Conn {
             header.ftype,
             T_INGEST | T_SCORE | T_QUERY | T_SNAPSHOT | T_PING
         ) {
-            self.accumulate_parse(t_parse);
-            self.binary_error(400, "unknown frame type");
-            return false;
+            return Decoded::Fatal(Refusal::BadRequest("unknown frame type"));
         }
         let total = HEADER_LEN + header.len;
         if self.in_buf.len() < total {
-            self.accumulate_parse(t_parse);
-            return false; // waiting for the payload
+            return Decoded::Partial; // waiting for the payload
         }
-
         let payload = &self.in_buf[HEADER_LEN..total];
-        let decode = match header.ftype {
-            T_INGEST | T_SCORE => frame::decode_points(payload, &mut self.batch),
-            T_QUERY if payload.len() != 8 => Err("query payload must be 8 bytes"),
-            T_SNAPSHOT | T_PING if !payload.is_empty() => Err("unexpected payload"),
-            _ => Ok(()),
-        };
-        let query_id = if header.ftype == T_QUERY && decode.is_ok() {
-            u64::from_le_bytes(payload[..8].try_into().expect("8-byte slice"))
-        } else {
-            0
+        let request = match header.ftype {
+            T_INGEST | T_SCORE => {
+                frame::decode_points(payload, &mut self.batch).map(|()| Request::Batch {
+                    score: header.ftype == T_SCORE,
+                })
+            }
+            T_QUERY => <[u8; 8]>::try_from(payload)
+                .map(|id| Request::Query(Some(u64::from_le_bytes(id))))
+                .map_err(|_| "query payload must be 8 bytes"),
+            _ if !payload.is_empty() => Err("unexpected payload"),
+            T_SNAPSHOT => Ok(Request::Snapshot),
+            _ => Ok(Request::Ping),
         };
         self.in_buf.drain(..total);
-        let parse_ns = self.take_parse(t_parse);
-
-        if let Err(detail) = decode {
-            let t_respond = obs.then(Instant::now);
-            self.binary_error_no_count(400, detail);
-            INGEST_ERRORS.inc();
-            self.finish_request(obs, parse_ns, 0, &SubmitTiming::default(), t_respond);
-            return false;
+        Decoded::Request {
+            request: request.map_err(Refusal::BadRequest),
+            keep_alive: true,
         }
-
-        let mut timing = SubmitTiming::default();
-        let mut busy = false;
-        let mut too_large = false;
-        let mut internal = false;
-        if matches!(header.ftype, T_INGEST | T_SCORE) {
-            match engine.submit(&self.batch, &mut self.bout, &mut timing) {
-                Ok(()) => {}
-                Err(SubmitError::Busy) => busy = true,
-                Err(SubmitError::TooLarge) => too_large = true,
-                Err(SubmitError::Internal) => internal = true,
-            }
-        }
-
-        let t_respond = obs.then(Instant::now);
-        if busy {
-            frame::write_frame(&mut self.out, T_RETRY, &[]);
-        } else if too_large {
-            self.binary_error_no_count(413, "batch exceeds max points");
-        } else if internal {
-            self.binary_error_no_count(500, "durability failure, batch not applied");
-        } else {
-            match header.ftype {
-                T_INGEST => {
-                    let mut payload = [0u8; 32];
-                    payload[..8].copy_from_slice(&self.bout.points.to_le_bytes());
-                    payload[8..16].copy_from_slice(&self.bout.spawned.to_le_bytes());
-                    payload[16..24]
-                        .copy_from_slice(&(self.bout.quarantined.len() as u64).to_le_bytes());
-                    payload[24..32]
-                        .copy_from_slice(&(self.bout.evicted.len() as u64).to_le_bytes());
-                    frame::write_frame(&mut self.out, T_ACK, &payload);
-                }
-                T_SCORE => {
-                    let n = self.bout.scores.len();
-                    frame::write_header(&mut self.out, T_SCORES, 8 + n * frame::SCORE_BYTES);
-                    self.out.extend_from_slice(&(n as u64).to_le_bytes());
-                    for s in &self.bout.scores {
-                        self.out
-                            .extend_from_slice(&(s.batch_index as u32).to_le_bytes());
-                        self.out.extend_from_slice(&s.id.0.to_le_bytes());
-                        self.out.extend_from_slice(&s.score.to_bits().to_le_bytes());
-                    }
-                }
-                T_QUERY => {
-                    let (resident, shard) = engine.query(SeriesId(query_id));
-                    let mut payload = [0u8; 17];
-                    payload[..8].copy_from_slice(&query_id.to_le_bytes());
-                    payload[8] = resident as u8;
-                    payload[9..17].copy_from_slice(&(shard as u64).to_le_bytes());
-                    frame::write_frame(&mut self.out, T_QUERY_RESP, &payload);
-                }
-                T_SNAPSHOT => {
-                    let (bytes, segments, series) = engine.snapshot_info();
-                    let mut payload = [0u8; 24];
-                    payload[..8].copy_from_slice(&(bytes as u64).to_le_bytes());
-                    payload[8..16].copy_from_slice(&(segments as u64).to_le_bytes());
-                    payload[16..24].copy_from_slice(&(series as u64).to_le_bytes());
-                    frame::write_frame(&mut self.out, T_SNAP_RESP, &payload);
-                }
-                T_PING => frame::write_frame(&mut self.out, T_PONG, &[]),
-                _ => unreachable!("validated above"),
-            }
-        }
-        self.finish_request(obs, parse_ns, 0, &timing, t_respond);
-        if too_large || internal {
-            INGEST_ERRORS.inc();
-        }
-        true
     }
 
-    /// Emits an `ERROR` frame and closes, counting the request.
-    fn binary_error(&mut self, code: u16, detail: &str) {
-        self.binary_error_no_count(code, detail);
-        INGEST_REQUESTS.inc();
+    // ------------------------------------------------------------------
+    // Handle: one path for both transports
+    // ------------------------------------------------------------------
+
+    /// Answers one request (or passes its refusal through) and counts
+    /// it. This is the only caller of `engine.submit` and the only place
+    /// `ingest.requests` and `ingest.errors` move: every refusal is an
+    /// error except `Busy`, which is backpressure (503/`RETRY`).
+    fn handle<F, L>(
+        &mut self,
+        request: Result<Request, Refusal>,
+        engine: &Engine<F, L>,
+        timing: &mut SubmitTiming,
+    ) -> Result<Reply, Refusal>
+    where
+        F: DetectorFactory,
+        F::Detector: Sync,
+        L: BatchLog,
+    {
+        // The route stage of a batch is the engine's admission, which
+        // `submit` times; for any other request it is this handler.
+        let routed = matches!(request, Ok(r) if !matches!(r, Request::Batch { .. }));
+        let t_route = (routed && tsad_obs::enabled()).then(Instant::now);
+        let outcome = match request {
+            Err(refusal) => Err(refusal),
+            Ok(Request::Batch { score }) => engine
+                .submit(&self.batch, &mut self.bout, timing)
+                .map(|()| Reply::Batch { score })
+                .map_err(|err| match err {
+                    SubmitError::Busy => Refusal::Busy,
+                    SubmitError::TooLarge => Refusal::TooLarge,
+                    SubmitError::Internal => Refusal::Internal,
+                }),
+            Ok(Request::Query(Some(id))) => {
+                let (resident, shard) = engine.query(SeriesId(id));
+                Ok(Reply::Query {
+                    id,
+                    resident,
+                    shard,
+                })
+            }
+            Ok(Request::Query(None)) => Err(Refusal::BadRequest("missing or bad id parameter")),
+            Ok(Request::Stats) => {
+                let (series, bytes, batches) = engine.fleet_stats();
+                Ok(Reply::Stats {
+                    totals: engine.totals(),
+                    series,
+                    bytes,
+                    batches,
+                })
+            }
+            Ok(Request::Snapshot) => {
+                let (bytes, segments, series) = engine.snapshot_info();
+                Ok(Reply::Snapshot {
+                    bytes,
+                    segments,
+                    series,
+                })
+            }
+            Ok(Request::Healthz) => Ok(Reply::Health(engine.healthy())),
+            Ok(Request::Ping) => Ok(Reply::Pong),
+            Ok(Request::NotFound) => Err(Refusal::NotFound),
+            Ok(Request::MethodNotAllowed) => Err(Refusal::MethodNotAllowed),
+        };
+        if let Some(t) = t_route {
+            timing.route_ns = elapsed_ns(t);
+            INGEST_ROUTE_NS.record(timing.route_ns);
+        }
         self.requests += 1;
-        INGEST_ERRORS.inc();
+        INGEST_REQUESTS.inc();
+        if matches!(outcome, Err(refusal) if refusal != Refusal::Busy) {
+            INGEST_ERRORS.inc();
+        }
+        outcome
     }
 
-    /// Emits an `ERROR` frame and closes (no request accounting — the
-    /// caller records the request through `finish_request`).
-    fn binary_error_no_count(&mut self, code: u16, detail: &str) {
-        self.body_scratch.clear();
-        self.body_scratch.extend_from_slice(&code.to_le_bytes());
-        self.body_scratch.extend_from_slice(detail.as_bytes());
-        let (out, payload) = (&mut self.out, &self.body_scratch);
-        frame::write_frame(out, T_ERROR, payload);
-        self.closing = true;
+    // ------------------------------------------------------------------
+    // Encode: one writer per transport
+    // ------------------------------------------------------------------
+
+    /// Writes the outcome in the connection's transport.
+    fn encode(&mut self, outcome: &Result<Reply, Refusal>, keep_alive: bool) {
+        match self.mode {
+            Mode::Http => self.encode_http(outcome, keep_alive),
+            Mode::Binary | Mode::Sniff => self.encode_binary(outcome),
+        }
+    }
+
+    /// Writes an HTTP response. It closes the connection on 400, 413 and
+    /// 500, and when the request did not keep the connection alive (a
+    /// fatal parse error never does).
+    fn encode_http(&mut self, outcome: &Result<Reply, Refusal>, keep_alive: bool) {
+        const JSON: &str = "application/json";
+        let b = &mut self.body_scratch;
+        b.clear();
+        let (status, reason, content_type) = match *outcome {
+            Ok(Reply::Batch { score }) => {
+                write_batch_json(b, &self.bout, score);
+                (200, "OK", JSON)
+            }
+            Ok(Reply::Query {
+                id,
+                resident,
+                shard,
+            }) => {
+                let _ = write!(
+                    b,
+                    "{{\"id\":{id},\"resident\":{resident},\"shard\":{shard}}}"
+                );
+                if resident {
+                    (200, "OK", JSON)
+                } else {
+                    (404, "Not Found", JSON)
+                }
+            }
+            Ok(Reply::Stats {
+                totals,
+                series,
+                bytes,
+                batches,
+            }) => {
+                let _ = write!(
+                    b,
+                    "{{\"series\":{series},\"bytes\":{bytes},\"fleet_batches\":{batches},\
+                     \"batches\":{},\"points\":{},\"scores\":{},\"spawned\":{},\
+                     \"quarantined\":{},\"evicted\":{},\"rejected\":{}}}",
+                    totals.batches,
+                    totals.points,
+                    totals.scores,
+                    totals.spawned,
+                    totals.quarantined,
+                    totals.evicted,
+                    totals.rejected,
+                );
+                (200, "OK", JSON)
+            }
+            Ok(Reply::Snapshot {
+                bytes,
+                segments,
+                series,
+            }) => {
+                let _ = write!(
+                    b,
+                    "{{\"bytes\":{bytes},\"segments\":{segments},\"series\":{series}}}"
+                );
+                (200, "OK", JSON)
+            }
+            Ok(Reply::Health(true)) => {
+                b.extend_from_slice(b"ok\n");
+                (200, "OK", "text/plain")
+            }
+            Ok(Reply::Health(false)) => {
+                b.extend_from_slice(b"engine unavailable\n");
+                (503, "Service Unavailable", "text/plain")
+            }
+            Ok(Reply::Pong) => unreachable!("HTTP decodes no ping"),
+            Err(refusal) => {
+                let (status, reason, detail) = refusal.status();
+                let _ = write!(b, "{{\"error\":\"{detail}\"}}");
+                (status, reason, JSON)
+            }
+        };
+        let keep_alive = keep_alive && !matches!(status, 400 | 413 | 500);
+        let out = &mut self.out;
+        let _ = write!(
+            out,
+            "HTTP/1.1 {status} {reason}\r\nContent-Type: {content_type}\r\n"
+        );
+        let _ = write!(out, "Content-Length: {}\r\n", b.len());
+        if matches!(outcome, Err(Refusal::Busy)) {
+            out.extend_from_slice(b"Retry-After: 1\r\n");
+        }
+        out.extend_from_slice(if keep_alive {
+            b"Connection: keep-alive\r\n\r\n"
+        } else {
+            b"Connection: close\r\n\r\n"
+        });
+        out.extend_from_slice(b);
+        if !keep_alive {
+            self.closing = true;
+        }
+    }
+
+    /// Writes a binary response frame. Every `ERROR` frame closes the
+    /// connection; `RETRY` (backpressure) does not.
+    fn encode_binary(&mut self, outcome: &Result<Reply, Refusal>) {
+        let out = &mut self.out;
+        match *outcome {
+            Ok(Reply::Batch { score: false }) => {
+                let mut payload = [0u8; 32];
+                payload[..8].copy_from_slice(&self.bout.points.to_le_bytes());
+                payload[8..16].copy_from_slice(&self.bout.spawned.to_le_bytes());
+                payload[16..24]
+                    .copy_from_slice(&(self.bout.quarantined.len() as u64).to_le_bytes());
+                payload[24..32].copy_from_slice(&(self.bout.evicted.len() as u64).to_le_bytes());
+                frame::write_frame(out, T_ACK, &payload);
+            }
+            Ok(Reply::Batch { score: true }) => {
+                let n = self.bout.scores.len();
+                frame::write_header(out, T_SCORES, 8 + n * frame::SCORE_BYTES);
+                out.extend_from_slice(&(n as u64).to_le_bytes());
+                for s in &self.bout.scores {
+                    out.extend_from_slice(&(s.batch_index as u32).to_le_bytes());
+                    out.extend_from_slice(&s.id.0.to_le_bytes());
+                    out.extend_from_slice(&s.score.to_bits().to_le_bytes());
+                }
+            }
+            Ok(Reply::Query {
+                id,
+                resident,
+                shard,
+            }) => {
+                let mut payload = [0u8; 17];
+                payload[..8].copy_from_slice(&id.to_le_bytes());
+                payload[8] = resident as u8;
+                payload[9..17].copy_from_slice(&(shard as u64).to_le_bytes());
+                frame::write_frame(out, T_QUERY_RESP, &payload);
+            }
+            Ok(Reply::Snapshot {
+                bytes,
+                segments,
+                series,
+            }) => {
+                let mut payload = [0u8; 24];
+                payload[..8].copy_from_slice(&(bytes as u64).to_le_bytes());
+                payload[8..16].copy_from_slice(&(segments as u64).to_le_bytes());
+                payload[16..24].copy_from_slice(&(series as u64).to_le_bytes());
+                frame::write_frame(out, T_SNAP_RESP, &payload);
+            }
+            Ok(Reply::Pong) => frame::write_frame(out, T_PONG, &[]),
+            Ok(Reply::Stats { .. } | Reply::Health(_)) => {
+                unreachable!("the binary transport decodes no stats or health request")
+            }
+            Err(Refusal::Busy) => frame::write_frame(out, T_RETRY, &[]),
+            Err(refusal) => {
+                let (code, _, detail) = refusal.status();
+                frame::write_header(out, T_ERROR, 2 + detail.len());
+                out.extend_from_slice(&code.to_le_bytes());
+                out.extend_from_slice(detail.as_bytes());
+                self.closing = true;
+            }
+        }
     }
 
     // ------------------------------------------------------------------
@@ -637,29 +658,15 @@ impl Conn {
         }
         ns
     }
+}
 
-    /// Records the per-request histograms once a response is written.
-    fn finish_request(
-        &mut self,
-        obs: bool,
-        parse_ns: u64,
-        route_ns: u64,
-        timing: &SubmitTiming,
-        t_respond: Option<Instant>,
-    ) {
-        self.requests += 1;
-        INGEST_REQUESTS.inc();
-        if !obs {
-            return;
-        }
-        let respond_ns = t_respond.map_or(0, elapsed_ns);
-        INGEST_PARSE_NS.record(parse_ns);
-        INGEST_RESPOND_NS.record(respond_ns);
-        let route = route_ns.max(timing.route_ns);
-        let request_ns = parse_ns + route + timing.push_ns + respond_ns;
-        INGEST_REQUEST_NS.record(request_ns);
-        INGEST_OVERHEAD_NS.record(request_ns - timing.push_ns);
-    }
+/// Records one answered request's stage histograms.
+fn record_stages(parse_ns: u64, timing: &SubmitTiming, respond_ns: u64) {
+    INGEST_PARSE_NS.record(parse_ns);
+    INGEST_RESPOND_NS.record(respond_ns);
+    let request_ns = parse_ns + timing.route_ns + timing.push_ns + respond_ns;
+    INGEST_REQUEST_NS.record(request_ns);
+    INGEST_OVERHEAD_NS.record(request_ns - timing.push_ns);
 }
 
 /// Nanoseconds since `t`, saturating.
@@ -667,22 +674,58 @@ fn elapsed_ns(t: Instant) -> u64 {
     t.elapsed().as_nanos().min(u64::MAX as u128) as u64
 }
 
-/// Maps an HTTP method + path to a route.
-fn route_http(method: &str, path: &str, query: &str) -> HttpRoute {
+/// Maps an HTTP method + path to a request.
+fn route_http(method: &str, path: &str, query: &str) -> Request {
     match path {
-        "/ingest" if method == "POST" => HttpRoute::Batch { score: false },
-        "/score" if method == "POST" => HttpRoute::Batch { score: true },
-        "/query" if method == "GET" => HttpRoute::Query {
-            id: query_param(query, "id").and_then(|v| v.parse().ok()),
-        },
-        "/stats" if method == "GET" => HttpRoute::Stats,
-        "/snapshot" if method == "POST" => HttpRoute::Snapshot,
-        "/healthz" if method == "GET" => HttpRoute::Healthz,
-        "/ingest" | "/score" | "/query" | "/stats" | "/snapshot" | "/healthz" => {
-            HttpRoute::MethodNotAllowed
+        "/ingest" if method == "POST" => Request::Batch { score: false },
+        "/score" if method == "POST" => Request::Batch { score: true },
+        "/query" if method == "GET" => {
+            Request::Query(query_param(query, "id").and_then(|v| v.parse().ok()))
         }
-        _ => HttpRoute::NotFound,
+        "/stats" if method == "GET" => Request::Stats,
+        "/snapshot" if method == "POST" => Request::Snapshot,
+        "/healthz" if method == "GET" => Request::Healthz,
+        "/ingest" | "/score" | "/query" | "/stats" | "/snapshot" | "/healthz" => {
+            Request::MethodNotAllowed
+        }
+        _ => Request::NotFound,
     }
+}
+
+/// Formats the `POST /ingest` / `POST /score` JSON body from the fleet's
+/// batch output.
+fn write_batch_json(b: &mut Vec<u8>, bout: &BatchOutput, score: bool) {
+    let _ = write!(
+        b,
+        "{{\"points\":{},\"spawned\":{},\"quarantined\":{},\"evicted\":{}",
+        bout.points,
+        bout.spawned,
+        bout.quarantined.len(),
+        bout.evicted.len(),
+    );
+    if score {
+        b.extend_from_slice(b",\"scores\":[");
+        for (i, s) in bout.scores.iter().enumerate() {
+            if i > 0 {
+                b.push(b',');
+            }
+            let _ = write!(
+                b,
+                "{{\"index\":{},\"id\":{},\"score\":",
+                s.batch_index, s.id.0
+            );
+            if s.score.is_finite() {
+                let _ = write!(b, "{}", s.score);
+            } else {
+                b.extend_from_slice(b"null"); // JSON has no NaN/Infinity
+            }
+            b.push(b'}');
+        }
+        b.push(b']');
+    } else {
+        let _ = write!(b, ",\"scores\":{}", bout.scores.len());
+    }
+    b.push(b'}');
 }
 
 /// Decodes the text batch body: one `<id> <value>` pair per line. Blank

@@ -102,10 +102,9 @@ where
         }
         None => None,
     };
-    // replay at the serving thread count, as `Engine::submit` applies
-    // batches; outside `with_threads` every batch would fan out at the
-    // process default
-    with_threads(engine_cfg.fleet_threads, || {
+    // replay on one thread, as `Engine::submit` applies batches; outside
+    // `with_threads` every batch would fan out at the process default
+    with_threads(1, || {
         let mut out = tsad_fleet::BatchOutput::new();
         let mut scratch: Vec<(SeriesId, f64)> = Vec::new();
         for batch in &rec.batches {

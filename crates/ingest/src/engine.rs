@@ -5,10 +5,10 @@
 //! the cap are refused immediately with [`SubmitError::Busy`], which the
 //! transports translate to HTTP 503 / a binary `RETRY` frame, never an
 //! unbounded queue) and then feeds the fleet under its mutex. The fleet
-//! call runs under [`with_threads`]`(fleet_threads)` — request batches
-//! are small, so the default of 1 keeps the request path free of scoped
-//! thread spawns (a spawn costs tens of microseconds, which would blow
-//! the per-request overhead budget a hundredfold).
+//! call runs under [`with_threads`]`(1)` — request batches are small, so
+//! one thread keeps the request path free of scoped thread spawns (a
+//! spawn costs tens of microseconds, which would blow the per-request
+//! overhead budget a hundredfold).
 //!
 //! Accounting lives in two places on purpose: `ingest.*` observability
 //! metrics (subject to the `TSAD_OBS` kill switch) and the engine's own
@@ -35,10 +35,6 @@ pub struct EngineConfig {
     /// Cap on points admitted but not yet pushed across all workers.
     /// Admission over the cap refuses with [`SubmitError::Busy`].
     pub max_inflight_points: usize,
-    /// Effective thread count for the fleet fan-out inside `submit`.
-    /// Keep at 1 for serving: per-request batches are far too small to
-    /// amortize a scoped spawn.
-    pub fleet_threads: usize,
 }
 
 impl Default for EngineConfig {
@@ -46,7 +42,6 @@ impl Default for EngineConfig {
         Self {
             max_batch_points: 65_536,
             max_inflight_points: 262_144,
-            fleet_threads: 1,
         }
     }
 }
@@ -263,7 +258,7 @@ impl<F: DetectorFactory, L: BatchLog> Engine<F, L> {
                 self.stats.wal_errors.fetch_add(1, Ordering::Relaxed);
                 return Err(SubmitError::Internal);
             }
-            with_threads(self.cfg.fleet_threads, || fleet.push_batch(batch, out));
+            with_threads(1, || fleet.push_batch(batch, out));
         }
         self.inflight.fetch_sub(n, Ordering::AcqRel);
         if let Some(t) = t_push {

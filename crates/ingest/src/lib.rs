@@ -16,7 +16,13 @@
 //!   in, response bytes out, no sockets. The socket layer just shovels.
 //!   That is what makes the request path testable byte-by-byte (slowloris
 //!   is "feed one byte at a time"), fuzzable without a network, and
-//!   alloc-countable in isolation.
+//!   alloc-countable in isolation. Each request runs decode → handle →
+//!   encode: each transport decodes its framing into one request, one
+//!   handler answers it for both (the only [`Engine::submit`] call, and
+//!   the one place `ingest.requests`/`ingest.errors` move; a 503/`RETRY`
+//!   is never an error), and a writer per transport encodes the outcome.
+//!   HTTP closes on 400/413/500, after a fatal parse error and on
+//!   `Connection: close`; binary closes on every `ERROR` frame.
 //! * **Thread-per-core accept/worker loop.** [`server::serve`] sizes its
 //!   worker set from [`tsad_parallel::current_threads`] (so `TSAD_THREADS`
 //!   governs the server like every other subsystem) and runs one
@@ -42,7 +48,7 @@
 //! | stage     | histogram            | covers                                             | budget (p99) |
 //! |-----------|----------------------|----------------------------------------------------|--------------|
 //! | parse     | `ingest.parse_ns`    | head/frame parse + body decode into the batch      | < 5 µs       |
-//! | route     | `ingest.route_ns`    | endpoint dispatch, validation, backpressure admit  | < 10 µs      |
+//! | route     | `ingest.route_ns`    | batch admission; other requests' handler           | < 10 µs      |
 //! | push      | `ingest.push_ns`     | fleet lock + [`tsad_fleet::Fleet::push_batch`]     | (fleet time) |
 //! | respond   | `ingest.respond_ns`  | formatting the response bytes                      | —            |
 //! | request   | `ingest.request_ns`  | everything above for one request                   | —            |
@@ -108,8 +114,9 @@ pub(crate) static INGEST_REQUESTS: Counter = Counter::new("ingest.requests");
 pub(crate) static INGEST_POINTS: Counter = Counter::new("ingest.points");
 /// Requests rejected by backpressure (503 / RETRY).
 pub(crate) static INGEST_REJECTED: Counter = Counter::new("ingest.rejected");
-/// Malformed requests answered with an error (parse failures, bad frames,
-/// oversized bodies, unknown endpoints).
+/// Requests refused with an error (parse failures, bad frames, oversized
+/// bodies, unknown endpoints, durability failures); backpressure is not
+/// one.
 pub(crate) static INGEST_ERRORS: Counter = Counter::new("ingest.errors");
 /// Currently open connections across all workers.
 pub(crate) static INGEST_CONNS: Gauge = Gauge::new("ingest.connections");
@@ -117,7 +124,8 @@ pub(crate) static INGEST_CONNS: Gauge = Gauge::new("ingest.connections");
 pub(crate) static INGEST_TIMEOUTS: Counter = Counter::new("ingest.timeouts");
 /// Parse stage: head/frame parse + body decode into the point batch.
 pub(crate) static INGEST_PARSE_NS: Histogram = Histogram::new("ingest.parse_ns", "ns");
-/// Route stage: endpoint dispatch, validation, backpressure admission.
+/// Route stage: a batch's validation and backpressure admission, or the
+/// handler of any other request.
 pub(crate) static INGEST_ROUTE_NS: Histogram = Histogram::new("ingest.route_ns", "ns");
 /// Push stage: fleet lock acquisition + `push_batch`.
 pub(crate) static INGEST_PUSH_NS: Histogram = Histogram::new("ingest.push_ns", "ns");

@@ -170,23 +170,6 @@ impl ClientTally {
     }
 }
 
-/// Quantile over merged log2 buckets, reported as a bucket upper bound.
-fn bucket_quantile(buckets: &[u64; 64], q: f64) -> u64 {
-    let total: u64 = buckets.iter().sum();
-    if total == 0 {
-        return 0;
-    }
-    let rank = ((q * total as f64).ceil() as u64).clamp(1, total);
-    let mut seen = 0;
-    for (idx, &c) in buckets.iter().enumerate() {
-        seen += c;
-        if seen >= rank {
-            return tsad_obs::bucket_upper_bound(idx);
-        }
-    }
-    tsad_obs::bucket_upper_bound(63)
-}
-
 /// Tiny deterministic generator for load values (SplitMix64 core).
 struct Rng(u64);
 
@@ -253,9 +236,9 @@ pub fn run(addr: SocketAddr, cfg: &LoadGenConfig) -> LoadReport {
         errors: merged.errors,
         points: merged.points,
         elapsed_ns,
-        p50_ns: bucket_quantile(&merged.buckets, 0.50),
-        p95_ns: bucket_quantile(&merged.buckets, 0.95),
-        p99_ns: bucket_quantile(&merged.buckets, 0.99),
+        p50_ns: tsad_obs::quantile_from_buckets(&merged.buckets, 0.50),
+        p95_ns: tsad_obs::quantile_from_buckets(&merged.buckets, 0.95),
+        p99_ns: tsad_obs::quantile_from_buckets(&merged.buckets, 0.99),
         max_ns: merged.max_ns,
     }
 }
@@ -475,12 +458,15 @@ mod tests {
         let mut b = [0u64; 64];
         b[tsad_obs::bucket_index(100)] = 90;
         b[tsad_obs::bucket_index(10_000)] = 10;
-        assert_eq!(bucket_quantile(&b, 0.5), tsad_obs::bucket_upper_bound(7));
         assert_eq!(
-            bucket_quantile(&b, 0.99),
+            tsad_obs::quantile_from_buckets(&b, 0.5),
+            tsad_obs::bucket_upper_bound(7)
+        );
+        assert_eq!(
+            tsad_obs::quantile_from_buckets(&b, 0.99),
             tsad_obs::bucket_upper_bound(tsad_obs::bucket_index(10_000))
         );
-        assert_eq!(bucket_quantile(&[0; 64], 0.5), 0);
+        assert_eq!(tsad_obs::quantile_from_buckets(&[0; 64], 0.5), 0);
     }
 
     #[test]

@@ -146,29 +146,20 @@ fn checkpoint_plus_wal_tail_equals_pre_crash_state() {
     let expected = state_of(&rec.engine);
     drop(rec);
 
-    // replay runs at the engine's fleet thread count; the result must not
-    // depend on it
-    for fleet_threads in [1, 4] {
-        let again = recover_engine(
-            dir.survivor(),
-            zfactory(),
-            wal_cfg(),
-            fleet_cfg(),
-            EngineConfig {
-                fleet_threads,
-                ..EngineConfig::default()
-            },
-        )
-        .unwrap();
-        assert_eq!(again.checkpoint_seq, Some(5));
-        assert_eq!(again.replayed_batches, 3);
-        assert_eq!(again.engine.with_fleet(|f| f.batches()), 8);
-        assert_eq!(
-            state_of(&again.engine),
-            expected,
-            "fleet_threads={fleet_threads}"
-        );
-    }
+    // recovery replays on one thread; that the fleet's result does not
+    // depend on the thread count is `crates/fleet/tests/determinism.rs`'s
+    let again = recover_engine(
+        dir.survivor(),
+        zfactory(),
+        wal_cfg(),
+        fleet_cfg(),
+        EngineConfig::default(),
+    )
+    .unwrap();
+    assert_eq!(again.checkpoint_seq, Some(5));
+    assert_eq!(again.replayed_batches, 3);
+    assert_eq!(again.engine.with_fleet(|f| f.batches()), 8);
+    assert_eq!(state_of(&again.engine), expected);
 }
 
 #[test]

@@ -54,7 +54,9 @@ pub use export::{
     render_json, render_summary, reset_all, snapshot, CounterValue, GaugeValue, HistogramValue,
     Snapshot, SCHEMA,
 };
-pub use metrics::{bucket_index, bucket_upper_bound, Counter, Gauge, Histogram, BUCKETS};
+pub use metrics::{
+    bucket_index, bucket_upper_bound, quantile_from_buckets, Counter, Gauge, Histogram, BUCKETS,
+};
 pub use span::{Span, SpanGuard};
 
 use std::cell::Cell;

@@ -272,9 +272,10 @@ impl Histogram {
     }
 }
 
-/// [`Histogram::quantile`] over an already-copied bucket array (used by
-/// snapshots so count and buckets come from the same copy).
-pub(crate) fn quantile_from_buckets(buckets: &[u64; BUCKETS], q: f64) -> u64 {
+/// [`Histogram::quantile`] over an already-copied bucket array: snapshots
+/// use it so count and buckets come from the same copy, and the load
+/// generator over buckets merged across its client threads.
+pub fn quantile_from_buckets(buckets: &[u64; BUCKETS], q: f64) -> u64 {
     let total: u64 = buckets.iter().sum();
     if total == 0 {
         return 0;
