@@ -96,22 +96,12 @@ enum Reply {
     Batch {
         score: bool,
     },
-    Query {
-        id: u64,
-        resident: bool,
-        shard: usize,
-    },
-    Stats {
-        totals: EngineTotals,
-        series: usize,
-        bytes: usize,
-        batches: u64,
-    },
-    Snapshot {
-        bytes: usize,
-        segments: usize,
-        series: usize,
-    },
+    /// The id and `Engine::query`'s `(resident, shard)`.
+    Query(u64, (bool, usize)),
+    /// `Engine::totals` and `Engine::fleet_stats`.
+    Stats(EngineTotals, (usize, usize, u64)),
+    /// `Engine::snapshot_info`.
+    Snapshot((usize, usize, usize)),
     /// `Engine::healthy`.
     Health(bool),
     Pong,
@@ -168,18 +158,16 @@ impl Refusal {
     }
 }
 
-/// What one decode attempt found at the front of the input buffer.
-enum Decoded {
-    /// No complete request yet: wait for more bytes.
-    Partial,
-    /// The framing is broken: refuse and close, reading nothing more.
-    Fatal(Refusal),
-    /// One whole request, taken off the buffer; `Err` when its body did
-    /// not decode. `keep_alive` is HTTP's connection verdict.
-    Request {
-        request: Result<Request, Refusal>,
-        keep_alive: bool,
-    },
+/// One decode attempt: `None` until the buffer holds a whole request,
+/// then the request (`Err` when decoding refused it) and whether HTTP
+/// keeps the connection alive after it.
+type Decoded = Option<(Result<Request, Refusal>, bool)>;
+
+/// Broken framing: the rest of the input cannot be trusted, so the
+/// refusal closes the connection (binary closes on any refusal but
+/// `Busy`).
+fn fatal(refusal: Refusal) -> Decoded {
+    Some((Err(refusal), false))
 }
 
 /// One connection's protocol state and reusable buffers.
@@ -279,30 +267,20 @@ impl Conn {
         let decoded = match self.mode {
             Mode::Http => self.decode_http(),
             Mode::Binary => self.decode_binary(),
-            Mode::Sniff => Decoded::Partial,
+            Mode::Sniff => None,
         };
-        let mut timing = SubmitTiming::default();
-        let (request, keep_alive) = match decoded {
-            Decoded::Partial => {
-                self.accumulate_parse(t_parse);
-                return false;
-            }
-            Decoded::Fatal(refusal) => {
-                // answered and counted, but not timed: the stages cover
-                // requests that were read whole
-                let outcome = self.handle(Err(refusal), engine, &mut timing);
-                self.encode(&outcome, false);
-                return false;
-            }
-            Decoded::Request {
-                request,
-                keep_alive,
-            } => (request, keep_alive),
+        let Some((request, keep_alive)) = decoded else {
+            self.accumulate_parse(t_parse);
+            return false;
         };
         let parse_ns = self.take_parse(t_parse);
+        let mut timing = SubmitTiming::default();
         let outcome = self.handle(request, engine, &mut timing);
         let t_respond = obs.then(Instant::now);
-        self.encode(&outcome, keep_alive);
+        match self.mode {
+            Mode::Http => self.encode_http(outcome, keep_alive),
+            Mode::Binary | Mode::Sniff => self.encode_binary(outcome),
+        }
         if let Some(t) = t_respond {
             record_stages(parse_ns, &timing, elapsed_ns(t));
         }
@@ -317,21 +295,17 @@ impl Conn {
     fn decode_http(&mut self) -> Decoded {
         let head = match parse_head(&self.in_buf, self.cfg.max_head_bytes) {
             Ok(Some(head)) => head,
-            Ok(None) => return Decoded::Partial,
-            Err(HttpError::BadRequest(detail)) => {
-                return Decoded::Fatal(Refusal::BadRequest(detail))
-            }
-            Err(HttpError::HeadTooLarge) => return Decoded::Fatal(Refusal::HeadTooLarge),
-            Err(HttpError::VersionUnsupported) => {
-                return Decoded::Fatal(Refusal::VersionUnsupported)
-            }
+            Ok(None) => return None,
+            Err(HttpError::BadRequest(detail)) => return fatal(Refusal::BadRequest(detail)),
+            Err(HttpError::HeadTooLarge) => return fatal(Refusal::HeadTooLarge),
+            Err(HttpError::VersionUnsupported) => return fatal(Refusal::VersionUnsupported),
         };
         if head.content_length > self.cfg.max_body_bytes {
-            return Decoded::Fatal(Refusal::BodyTooLarge);
+            return fatal(Refusal::BodyTooLarge);
         }
         let total = head.head_len + head.content_length;
         if self.in_buf.len() < total {
-            return Decoded::Partial; // waiting for the body
+            return None; // waiting for the body
         }
         let (head_len, keep_alive) = (head.head_len, head.keep_alive);
         let mut request = Ok(route_http(head.method, head.path, head.query));
@@ -341,19 +315,16 @@ impl Conn {
             }
         }
         self.in_buf.drain(..total);
-        Decoded::Request {
-            request,
-            keep_alive,
-        }
+        Some((request, keep_alive))
     }
 
     /// Decodes one binary frame: header, type, payload.
     fn decode_binary(&mut self) -> Decoded {
         let header = match frame::parse_header(&self.in_buf, self.cfg.max_body_bytes) {
             Ok(Some(h)) => h,
-            Ok(None) => return Decoded::Partial,
+            Ok(None) => return None,
             Err(err) => {
-                return Decoded::Fatal(Refusal::BadRequest(match err {
+                return fatal(Refusal::BadRequest(match err {
                     FrameError::BadMagic => "bad frame magic",
                     FrameError::BadVersion => "unsupported frame version",
                     FrameError::BadReserved => "nonzero reserved byte",
@@ -367,11 +338,11 @@ impl Conn {
             header.ftype,
             T_INGEST | T_SCORE | T_QUERY | T_SNAPSHOT | T_PING
         ) {
-            return Decoded::Fatal(Refusal::BadRequest("unknown frame type"));
+            return fatal(Refusal::BadRequest("unknown frame type"));
         }
         let total = HEADER_LEN + header.len;
         if self.in_buf.len() < total {
-            return Decoded::Partial; // waiting for the payload
+            return None; // waiting for the payload
         }
         let payload = &self.in_buf[HEADER_LEN..total];
         let request = match header.ftype {
@@ -388,10 +359,7 @@ impl Conn {
             _ => Ok(Request::Ping),
         };
         self.in_buf.drain(..total);
-        Decoded::Request {
-            request: request.map_err(Refusal::BadRequest),
-            keep_alive: true,
-        }
+        Some((request.map_err(Refusal::BadRequest), true))
     }
 
     // ------------------------------------------------------------------
@@ -427,32 +395,10 @@ impl Conn {
                     SubmitError::TooLarge => Refusal::TooLarge,
                     SubmitError::Internal => Refusal::Internal,
                 }),
-            Ok(Request::Query(Some(id))) => {
-                let (resident, shard) = engine.query(SeriesId(id));
-                Ok(Reply::Query {
-                    id,
-                    resident,
-                    shard,
-                })
-            }
+            Ok(Request::Query(Some(id))) => Ok(Reply::Query(id, engine.query(SeriesId(id)))),
             Ok(Request::Query(None)) => Err(Refusal::BadRequest("missing or bad id parameter")),
-            Ok(Request::Stats) => {
-                let (series, bytes, batches) = engine.fleet_stats();
-                Ok(Reply::Stats {
-                    totals: engine.totals(),
-                    series,
-                    bytes,
-                    batches,
-                })
-            }
-            Ok(Request::Snapshot) => {
-                let (bytes, segments, series) = engine.snapshot_info();
-                Ok(Reply::Snapshot {
-                    bytes,
-                    segments,
-                    series,
-                })
-            }
+            Ok(Request::Stats) => Ok(Reply::Stats(engine.totals(), engine.fleet_stats())),
+            Ok(Request::Snapshot) => Ok(Reply::Snapshot(engine.snapshot_info())),
             Ok(Request::Healthz) => Ok(Reply::Health(engine.healthy())),
             Ok(Request::Ping) => Ok(Reply::Pong),
             Ok(Request::NotFound) => Err(Refusal::NotFound),
@@ -474,31 +420,19 @@ impl Conn {
     // Encode: one writer per transport
     // ------------------------------------------------------------------
 
-    /// Writes the outcome in the connection's transport.
-    fn encode(&mut self, outcome: &Result<Reply, Refusal>, keep_alive: bool) {
-        match self.mode {
-            Mode::Http => self.encode_http(outcome, keep_alive),
-            Mode::Binary | Mode::Sniff => self.encode_binary(outcome),
-        }
-    }
-
     /// Writes an HTTP response. It closes the connection on 400, 413 and
     /// 500, and when the request did not keep the connection alive (a
     /// fatal parse error never does).
-    fn encode_http(&mut self, outcome: &Result<Reply, Refusal>, keep_alive: bool) {
+    fn encode_http(&mut self, outcome: Result<Reply, Refusal>, keep_alive: bool) {
         const JSON: &str = "application/json";
         let b = &mut self.body_scratch;
         b.clear();
-        let (status, reason, content_type) = match *outcome {
+        let (status, reason, content_type) = match outcome {
             Ok(Reply::Batch { score }) => {
                 write_batch_json(b, &self.bout, score);
                 (200, "OK", JSON)
             }
-            Ok(Reply::Query {
-                id,
-                resident,
-                shard,
-            }) => {
+            Ok(Reply::Query(id, (resident, shard))) => {
                 let _ = write!(
                     b,
                     "{{\"id\":{id},\"resident\":{resident},\"shard\":{shard}}}"
@@ -509,12 +443,7 @@ impl Conn {
                     (404, "Not Found", JSON)
                 }
             }
-            Ok(Reply::Stats {
-                totals,
-                series,
-                bytes,
-                batches,
-            }) => {
+            Ok(Reply::Stats(totals, (series, bytes, batches))) => {
                 let _ = write!(
                     b,
                     "{{\"series\":{series},\"bytes\":{bytes},\"fleet_batches\":{batches},\
@@ -530,11 +459,7 @@ impl Conn {
                 );
                 (200, "OK", JSON)
             }
-            Ok(Reply::Snapshot {
-                bytes,
-                segments,
-                series,
-            }) => {
+            Ok(Reply::Snapshot((bytes, segments, series))) => {
                 let _ = write!(
                     b,
                     "{{\"bytes\":{bytes},\"segments\":{segments},\"series\":{series}}}"
@@ -579,9 +504,9 @@ impl Conn {
 
     /// Writes a binary response frame. Every `ERROR` frame closes the
     /// connection; `RETRY` (backpressure) does not.
-    fn encode_binary(&mut self, outcome: &Result<Reply, Refusal>) {
+    fn encode_binary(&mut self, outcome: Result<Reply, Refusal>) {
         let out = &mut self.out;
-        match *outcome {
+        match outcome {
             Ok(Reply::Batch { score: false }) => {
                 let mut payload = [0u8; 32];
                 payload[..8].copy_from_slice(&self.bout.points.to_le_bytes());
@@ -601,22 +526,14 @@ impl Conn {
                     out.extend_from_slice(&s.score.to_bits().to_le_bytes());
                 }
             }
-            Ok(Reply::Query {
-                id,
-                resident,
-                shard,
-            }) => {
+            Ok(Reply::Query(id, (resident, shard))) => {
                 let mut payload = [0u8; 17];
                 payload[..8].copy_from_slice(&id.to_le_bytes());
                 payload[8] = resident as u8;
                 payload[9..17].copy_from_slice(&(shard as u64).to_le_bytes());
                 frame::write_frame(out, T_QUERY_RESP, &payload);
             }
-            Ok(Reply::Snapshot {
-                bytes,
-                segments,
-                series,
-            }) => {
+            Ok(Reply::Snapshot((bytes, segments, series))) => {
                 let mut payload = [0u8; 24];
                 payload[..8].copy_from_slice(&(bytes as u64).to_le_bytes());
                 payload[8..16].copy_from_slice(&(segments as u64).to_le_bytes());
@@ -624,7 +541,7 @@ impl Conn {
                 frame::write_frame(out, T_SNAP_RESP, &payload);
             }
             Ok(Reply::Pong) => frame::write_frame(out, T_PONG, &[]),
-            Ok(Reply::Stats { .. } | Reply::Health(_)) => {
+            Ok(Reply::Stats(..) | Reply::Health(_)) => {
                 unreachable!("the binary transport decodes no stats or health request")
             }
             Err(Refusal::Busy) => frame::write_frame(out, T_RETRY, &[]),
