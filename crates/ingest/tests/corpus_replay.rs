@@ -179,39 +179,43 @@ const GOLDEN: &[(&str, u64, bool, u64, u64)] = &[
     ("zero-len-frame.bin", 0xe51a3ab78bf120d2, false, 1, 0),
 ];
 
-#[test]
-fn every_corpus_input_gets_its_pinned_response() {
-    let _serial = serialize();
-    // the error counter only moves while recording is on; the bytes,
-    // closes and request counts must not depend on it (`TSAD_OBS=0`)
-    tsad_obs::with_enabled(true, || {
-        let mut got = Vec::new();
-        for (name, bytes) in corpus() {
+/// Feeds every corpus input whole into a fresh default engine, in the
+/// shape of [`GOLDEN`].
+fn replay_corpus() -> Vec<(String, u64, bool, u64, u64)> {
+    corpus()
+        .into_iter()
+        .map(|(name, bytes)| {
             let engine = new_engine();
             let mut conn = Conn::new(ConnConfig::default());
             let errors_before = ingest_errors();
             conn.feed(&bytes, &engine);
-            got.push((
-                name,
-                digest64(conn.output()),
-                conn.wants_close(),
-                conn.requests(),
-                ingest_errors() - errors_before,
-            ));
-        }
+            let errors = ingest_errors() - errors_before;
+            let (digest, close) = (digest64(conn.output()), conn.wants_close());
+            (name, digest, close, conn.requests(), errors)
+        })
+        .collect()
+}
+
+#[test]
+fn every_corpus_input_gets_its_pinned_response() {
+    let _serial = serialize();
+    // bytes, closes and request counts must not depend on recording
+    // (`TSAD_OBS=0`); the error counter moves only while it is on
+    for on in [true, false] {
+        let got = tsad_obs::with_enabled(on, replay_corpus);
+        let pinned: Vec<_> = GOLDEN
+            .iter()
+            .map(|&(n, d, c, r, e)| (n.to_string(), d, c, r, if on { e } else { 0 }))
+            .collect();
         let table: String = got
             .iter()
             .map(|(n, d, c, r, e)| format!("    (\"{n}\", {d:#018x}, {c}, {r}, {e}),\n"))
             .collect();
-        let pinned: Vec<_> = GOLDEN
-            .iter()
-            .map(|&(n, d, c, r, e)| (n.to_string(), d, c, r, e))
-            .collect();
         assert_eq!(
             got, pinned,
-            "responses moved; the current table is:\n{table}"
+            "responses moved (recording {on}); the current table is:\n{table}"
         );
-    });
+    }
 }
 
 /// A log that refuses every append (the engine answers `Internal`).
