@@ -1,13 +1,22 @@
-//! The discord detectors' certified `locate` against the full-profile
-//! arg-max on real archive entries: the contest must not move.
+//! The certified `locate` of the discord detectors and subsequence 1-NN
+//! against the full-profile arg-max on real archive entries: the contest
+//! must not move.
 
 use tsad_archive::builder::{build_archive, ArchiveEntry};
 use tsad_core::simd::{self, Backend};
+use tsad_detectors::baselines::SubsequenceKnn;
 use tsad_detectors::matrix_profile::{DiscordDetector, OnlineDiscordDetector};
 use tsad_detectors::Detector;
 
-/// The contest's window for both discord members.
+/// The contest's window for the three members.
 const WINDOW: usize = 128;
+
+/// The members' `locate_fallback` counters, in member order.
+const FALLBACKS: [&str; 3] = [
+    "detectors.discord.locate_fallback",
+    "detectors.left_discord.locate_fallback",
+    "detectors.knn.locate_fallback",
+];
 
 /// The default `locate`: the first arg-max of the score's test part.
 fn full_profile_location(detector: &dyn Detector, entry: &ArchiveEntry) -> usize {
@@ -17,25 +26,22 @@ fn full_profile_location(detector: &dyn Detector, entry: &ArchiveEntry) -> usize
     t + tsad_core::stats::argmax(&score[t..]).unwrap()
 }
 
-/// Fallbacks of both members, read from their `tsad-obs` counters.
-fn fallbacks() -> (u64, u64) {
+/// Fallbacks per member, read from their `tsad-obs` counters.
+fn fallbacks() -> [u64; 3] {
     let obs = tsad_obs::snapshot();
-    let count = |name| obs.counter(name).unwrap_or(0);
-    (
-        count("detectors.discord.locate_fallback"),
-        count("detectors.left_discord.locate_fallback"),
-    )
+    FALLBACKS.map(|name| obs.counter(name).unwrap_or(0))
 }
 
-/// Checks both members' `locate` on `entries` under every listed backend
+/// Checks the members' `locate` on `entries` under every listed backend
 /// and thread count; returns the fallbacks per member on the first
 /// setting.
-fn check(entries: &[ArchiveEntry], backends: &[Backend], threads: &[usize]) -> (u64, u64) {
-    let members: [&dyn Detector; 2] = [
+fn check(entries: &[ArchiveEntry], backends: &[Backend], threads: &[usize]) -> [u64; 3] {
+    let members: [&dyn Detector; 3] = [
         &DiscordDetector::new(WINDOW),
         &OnlineDiscordDetector::new(WINDOW),
+        &SubsequenceKnn::new(WINDOW),
     ];
-    let expected: Vec<[usize; 2]> = entries
+    let expected: Vec<[usize; 3]> = entries
         .iter()
         .map(|e| members.map(|d| full_profile_location(d, e)))
         .collect();
@@ -63,7 +69,7 @@ fn check(entries: &[ArchiveEntry], backends: &[Backend], threads: &[usize]) -> (
                 })
             });
             let after = fallbacks();
-            first.get_or_insert((after.0 - before.0, after.1 - before.1));
+            first.get_or_insert(std::array::from_fn(|k| after[k] - before[k]));
         }
     }
     first.unwrap_or_default()
@@ -76,7 +82,7 @@ fn locate_matches_the_full_profile_on_one_entry_per_domain() {
 }
 
 #[test]
-#[ignore = "archive-wide: 70 entries, every backend, 1/2/8 threads (minutes)"]
+#[ignore = "archive-wide: 70 entries, three members, every backend, 1/2/8 threads (minutes)"]
 fn locate_matches_the_full_profile_on_every_archive_entry() {
     let backends: Vec<Backend> = [Backend::Scalar, Backend::Sse2, Backend::Avx2, Backend::Neon]
         .into_iter()
@@ -84,10 +90,11 @@ fn locate_matches_the_full_profile_on_every_archive_entry() {
         .collect();
     for seed in [42, 7] {
         let archive = build_archive(seed, 35).unwrap();
-        let (discord, left) =
+        let [discord, left, knn] =
             tsad_obs::with_enabled(true, || check(&archive, &backends, &[1, 2, 8]));
         println!(
-            "seed {seed}: fallbacks over {} entries: discord {discord}, left discord {left}",
+            "seed {seed}: fallbacks over {} entries: discord {discord}, left discord {left}, \
+             1-NN {knn}",
             archive.len()
         );
     }

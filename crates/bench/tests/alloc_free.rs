@@ -9,7 +9,9 @@
 //! `merlin_top`, and one DRAG search through `drag_discord` (all three
 //! draw their DRAG buffers from one scratch pool).
 //! The prefix join and the 1-NN detector built on it allocate exactly
-//! their outputs.
+//! their outputs. The contest's certified `locate` of the discord
+//! detectors and 1-NN keeps its tables in one pooled space and allocates
+//! nothing.
 //!
 //! Everything runs under `with_threads(1)`: the zero-allocation contract
 //! is single-threaded by design (scoped worker spawns at higher thread
@@ -31,7 +33,8 @@ use tsad_core::fft::{fft_plan, rfft_plan, sliding_dot_product_into};
 use tsad_core::TimeSeries;
 use tsad_detectors::baselines::SubsequenceKnn;
 use tsad_detectors::matrix_profile::{
-    prefix_join, stomp_metric_with, MatrixProfile, ProfileMetric, StompWorkspace,
+    prefix_join, stomp_metric_with, DiscordDetector, MatrixProfile, OnlineDiscordDetector,
+    ProfileMetric, StompWorkspace,
 };
 use tsad_detectors::Detector;
 use tsad_parallel::with_threads;
@@ -142,6 +145,44 @@ fn warm_prefix_join_allocates_only_its_output() {
             std::hint::black_box(knn.score(&ts, train_len).unwrap());
         });
         assert_eq!(allocs, 3, "warm 1-NN allocated beyond its output");
+    });
+}
+
+#[test]
+fn warm_certified_locate_is_allocation_free() {
+    // each member's certified search draws its tables from one pooled
+    // space that only grows, so once all three have run, a warm `locate`
+    // allocates nothing; a fallback would take band buffers from the
+    // STOMP pool, hence the guard
+    let _pool = band_pool_guard();
+    let ts = TimeSeries::new("locate", series(1024, 8)).unwrap();
+    let (m, train_len) = (64, 400);
+    let members: [(&dyn Detector, &str); 3] = [
+        (
+            &DiscordDetector::new(m),
+            "detectors.discord.locate_certified",
+        ),
+        (
+            &OnlineDiscordDetector::new(m),
+            "detectors.left_discord.locate_certified",
+        ),
+        (&SubsequenceKnn::new(m), "detectors.knn.locate_certified"),
+    ];
+    let read = |counter| tsad_obs::snapshot().counter(counter).unwrap_or(0);
+    tsad_obs::with_enabled(true, || {
+        with_threads(1, || {
+            for (member, _) in members {
+                member.locate(&ts, train_len).unwrap();
+            }
+            for (member, counter) in members {
+                let before = read(counter);
+                let allocs = count_allocs(|| {
+                    std::hint::black_box(member.locate(&ts, train_len).unwrap());
+                });
+                assert_eq!(read(counter), before + 1, "{} fell back", member.name());
+                assert_eq!(allocs, 0, "warm certified {} allocated", member.name());
+            }
+        });
     });
 }
 

@@ -20,9 +20,16 @@ use rand::{Rng, SeedableRng};
 use tsad_core::ckpt::{CkptReader, CkptWriter};
 use tsad_core::error::{CoreError, Result};
 use tsad_core::{ops, TimeSeries};
+use tsad_obs::Counter;
 
 use crate::calibrated::{score_calibrated, standardizer, PrefixCalibrated};
+use crate::matrix_profile::certified_prefix_location;
 use crate::Detector;
+
+/// [`SubsequenceKnn::locate`] answers certified without the prefix join.
+static KNN_CERTIFIED: Counter = Counter::new("detectors.knn.locate_certified");
+/// [`SubsequenceKnn::locate`] answers from the full prefix join.
+static KNN_FALLBACK: Counter = Counter::new("detectors.knn.locate_fallback");
 
 /// Flags the last point of the series (score 1 at the end, 0 elsewhere).
 #[derive(Debug, Clone, Copy, Default)]
@@ -122,6 +129,12 @@ impl Detector for MovingAvgResidual {
 /// per cell — the same values as one MASS call per test window, to
 /// rounding, and bitwise identical at every thread count and on every SIMD
 /// backend. Needs a train prefix of at least `2 · window` points.
+///
+/// The contest's one location ([`Detector::locate`]) comes from the
+/// certified top-1 search of `matrix_profile/locate.rs` over the same join
+/// — the test window farthest from every train window, found with direct
+/// dot products and proven against STOMP's rounding — without computing
+/// the join; the full join's arg-max when the search cannot prove it.
 #[derive(Debug, Clone, Copy)]
 pub struct SubsequenceKnn {
     /// Subsequence length.
@@ -133,6 +146,22 @@ impl SubsequenceKnn {
     pub fn new(window: usize) -> Self {
         Self { window }
     }
+
+    /// What [`Detector::score`] refuses: a window outside the series, or a
+    /// train prefix shorter than two windows.
+    fn check(&self, len: usize, train_len: usize) -> Result<()> {
+        let m = self.window;
+        if m == 0 || m > len {
+            return Err(CoreError::BadWindow { window: m, len });
+        }
+        if train_len < 2 * m {
+            return Err(CoreError::BadWindow {
+                window: 2 * m,
+                len: train_len,
+            });
+        }
+        Ok(())
+    }
 }
 
 impl Detector for SubsequenceKnn {
@@ -141,21 +170,23 @@ impl Detector for SubsequenceKnn {
     }
     fn score(&self, ts: &TimeSeries, train_len: usize) -> Result<Vec<f64>> {
         let x = ts.values();
-        let m = self.window;
-        if m == 0 || m > x.len() {
-            return Err(CoreError::BadWindow {
-                window: m,
-                len: x.len(),
-            });
-        }
-        if train_len < 2 * m {
-            return Err(CoreError::BadWindow {
-                window: 2 * m,
-                len: train_len,
-            });
-        }
-        let mp = crate::matrix_profile::prefix_join(x, m, train_len)?;
+        self.check(x.len(), train_len)?;
+        let mp = crate::matrix_profile::prefix_join(x, self.window, train_len)?;
         Ok(mp.point_scores(x.len()))
+    }
+    /// The certified top-1 search over the prefix join; the full join's
+    /// arg-max when the search cannot prove its answer, and for every
+    /// input `score` refuses. Either way the bits of the default.
+    fn locate(&self, ts: &TimeSeries, train_len: usize) -> Result<usize> {
+        if self.check(ts.len(), train_len).is_ok() {
+            let found = certified_prefix_location(ts.values(), self.window, train_len);
+            if let Some(at) = found {
+                KNN_CERTIFIED.inc();
+                return Ok(at);
+            }
+        }
+        KNN_FALLBACK.inc();
+        crate::score_argmax(self, ts, train_len)
     }
 }
 

@@ -81,8 +81,8 @@ use tsad_core::{Result, TimeSeries};
 /// test point — and must return exactly what its default body returns: the
 /// first arg-max of `score` over `train_len..`. A detector overrides it
 /// only when it can find that point without every score, as the discord
-/// detectors do with a certified top-1 search
-/// ([`matrix_profile::DiscordDetector`]).
+/// detectors and subsequence 1-NN do with a certified top-1 search
+/// ([`matrix_profile::DiscordDetector`], [`baselines::SubsequenceKnn`]).
 pub trait Detector {
     /// Short, stable identifier (used in reports and benches).
     fn name(&self) -> &'static str;

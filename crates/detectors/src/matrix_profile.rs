@@ -25,14 +25,14 @@
 //! operation chain and every merge is order-independent, so the grouping
 //! never changes a bit of the result (DESIGN.md §11).
 //!
-//! The archive contest asks the discord detectors for one location, not a
-//! profile. Their `Detector::locate` runs a certified top-1 search first
-//! (`locate.rs`): a DAMP-style search with direct dot products finds the
-//! candidate, and a proven bound on how far STOMP's rounded scores can
-//! stray from direct ones must separate it from every other window that
-//! reaches the test part. Otherwise, and for degenerate or Euclidean
-//! series, they compute the full profile, so the answer is always the
-//! profile's own arg-max, bit for bit (DESIGN.md §11).
+//! The archive contest asks the discord detectors and subsequence 1-NN for
+//! one location, not a profile. Their `Detector::locate` runs a certified
+//! top-1 search first (`locate.rs`): a DAMP-style search with direct dot
+//! products finds the candidate, and a proven bound on how far STOMP's
+//! rounded scores can stray from direct ones must separate it from every
+//! other window that reaches the test part. Otherwise, and for degenerate
+//! or Euclidean series, they compute the full profile or prefix join, so
+//! the answer is always its own arg-max, bit for bit (DESIGN.md §11).
 
 use std::ops::Range;
 
@@ -1270,17 +1270,14 @@ fn join_into(
     let t = train_len;
     let cols = t - m + 1;
     WindowMoments::compute_with(x, m, &mut ws.mscratch, &mut ws.moments)?;
-    tsad_core::fft::sliding_dot_product_into(&x[..m], &x[t..], &mut ws.first_row)?;
-    tsad_core::fft::sliding_dot_product_into(&x[t..t + m], &x[..t], &mut ws.test_row)?;
     let StompWorkspace {
         moments,
         first_row,
         test_row,
         ..
     } = ws;
-    // only the windows the join touches decide the scorer
     let stds = &moments.stds;
-    let degenerate = stds[..cols].iter().chain(&stds[t..]).any(|&s| s < 1e-9);
+    let degenerate = prefix_join_seeds(x, m, t, stds, first_row, test_row)?;
     if degenerate {
         let scorer = ZnormScorer {
             m,
@@ -1313,6 +1310,34 @@ fn join_into(
         join_profile(simd::current(), &kernel, out);
     }
     Ok(())
+}
+
+/// The prefix join's seeds, as [`join_into`] and the certified top-1
+/// search (`locate.rs`) both take them: `head_row` is window 0 against the
+/// test part `x[t..]` (diagonals `k ≥ t`, seeded in train column 0) and
+/// `test_row` the first test window against the train part (the others,
+/// seeded in test row `t`). Returns whether a window the join reads is
+/// degenerate: only the train windows `..=t − m` and the test windows
+/// `t..` decide the scorer, never those straddling the split.
+pub(super) fn prefix_join_seeds(
+    x: &[f64],
+    m: usize,
+    t: usize,
+    stds: &[f64],
+    head_row: &mut Vec<f64>,
+    test_row: &mut Vec<f64>,
+) -> Result<bool> {
+    tsad_core::fft::sliding_dot_product_into(&x[..m], &x[t..], head_row)?;
+    tsad_core::fft::sliding_dot_product_into(&x[t..t + m], &x[..t], test_row)?;
+    let cols = t - m + 1;
+    Ok(stds[..cols].iter().chain(&stds[t..]).any(|&s| s < 1e-9))
+}
+
+/// The contest location of `x`'s [`prefix_join`] at window `m` with train
+/// prefix `train_len`, from the certified top-1 search (`locate.rs`);
+/// `None` when the search cannot prove it.
+pub(crate) fn certified_prefix_location(x: &[f64], m: usize, train_len: usize) -> Option<usize> {
+    certified_location(x, m, train_len, Join::Prefix)
 }
 
 /// Runs one prefix-join scan into the test rows of `out` and finalizes
@@ -1462,7 +1487,7 @@ impl Detector for DiscordDetector {
     /// cannot prove its answer. Either way the bits of the default.
     fn locate(&self, ts: &TimeSeries, train_len: usize) -> Result<usize> {
         if self.metric == ProfileMetric::ZNormalized {
-            let found = certified_location(ts.values(), self.window, train_len, Join::SelfJoin);
+            let found = certified_location(ts.values(), self.window, train_len, Join::Both);
             if let Some(at) = found {
                 DISCORD_CERTIFIED.inc();
                 return Ok(at);

@@ -1,10 +1,13 @@
-//! The discord detectors' `locate` hook returns exactly the first arg-max
-//! of `point_scores` over the test part, on every backend, whether the
-//! certified search proves its answer or falls back to the full profile.
+//! The discord detectors' and subsequence 1-NN's `locate` hook returns
+//! exactly the first arg-max of `point_scores` over the test part, on
+//! every backend, whether the certified search proves its answer or falls
+//! back to the full profile or join; and the same error where the default
+//! body errs.
 
 use proptest::prelude::*;
 use tsad_core::simd::{self, Backend};
-use tsad_core::TimeSeries;
+use tsad_core::{Result, TimeSeries};
+use tsad_detectors::baselines::SubsequenceKnn;
 use tsad_detectors::matrix_profile::{DiscordDetector, OnlineDiscordDetector};
 use tsad_detectors::{Detector, DetectorRegistry, Params};
 
@@ -19,6 +22,18 @@ fn backends() -> Vec<Backend> {
 fn full_profile_location(detector: &dyn Detector, ts: &TimeSeries, train_len: usize) -> usize {
     let score = detector.score(ts, train_len).unwrap();
     train_len + tsad_core::stats::argmax(&score[train_len..]).unwrap()
+}
+
+/// A detector's `score` under the trait's default `locate` body.
+struct ScoreOnly<'a>(&'a dyn Detector);
+
+impl Detector for ScoreOnly<'_> {
+    fn name(&self) -> &'static str {
+        self.0.name()
+    }
+    fn score(&self, ts: &TimeSeries, train_len: usize) -> Result<Vec<f64>> {
+        self.0.score(ts, train_len)
+    }
 }
 
 /// A noisy sine with one squashed cycle, shaped by `kind`: 0 plain,
@@ -71,30 +86,49 @@ fn series(n: usize, period: usize, kind: u8, seed: u64) -> Vec<f64> {
     x
 }
 
-/// Asserts both members' `locate` on every backend.
+/// Asserts `member`'s `locate` against the default body on every backend.
+/// The default must answer unless `may_refuse`; then both may refuse the
+/// input, with the same error.
+fn assert_member_matches(
+    member: &dyn Detector,
+    ts: &TimeSeries,
+    train_len: usize,
+    may_refuse: bool,
+) -> std::result::Result<(), proptest::TestCaseError> {
+    let want = ScoreOnly(member).locate(ts, train_len);
+    prop_assert!(
+        may_refuse || want.is_ok(),
+        "{} refused train {}: {:?}",
+        member.name(),
+        train_len,
+        want
+    );
+    for backend in backends() {
+        let got = simd::with_backend(backend, || member.locate(ts, train_len));
+        prop_assert_eq!(
+            &got,
+            &want,
+            "{} on {} (train {})",
+            member.name(),
+            backend.name(),
+            train_len
+        );
+    }
+    Ok(())
+}
+
+/// Asserts the three members' `locate` on every backend: the discord
+/// members must answer, 1-NN answer or refuse as its default does (it
+/// refuses a train prefix shorter than `2m`).
 fn assert_locate_matches(
     x: &[f64],
     m: usize,
     train_len: usize,
-) -> Result<(), proptest::TestCaseError> {
+) -> std::result::Result<(), proptest::TestCaseError> {
     let ts = TimeSeries::new("p", x.to_vec()).unwrap();
-    let members: [&dyn Detector; 2] = [&DiscordDetector::new(m), &OnlineDiscordDetector::new(m)];
-    for member in members {
-        let want = full_profile_location(member, &ts, train_len);
-        for backend in backends() {
-            let got = simd::with_backend(backend, || member.locate(&ts, train_len)).unwrap();
-            prop_assert_eq!(
-                got,
-                want,
-                "{} on {} (m {}, train {})",
-                member.name(),
-                backend.name(),
-                m,
-                train_len
-            );
-        }
-    }
-    Ok(())
+    assert_member_matches(&DiscordDetector::new(m), &ts, train_len, false)?;
+    assert_member_matches(&OnlineDiscordDetector::new(m), &ts, train_len, false)?;
+    assert_member_matches(&SubsequenceKnn::new(m), &ts, train_len, true)
 }
 
 proptest! {
@@ -135,6 +169,65 @@ proptest! {
         let y = &x[..m.div_ceil(2) + 3 * m + short];
         assert_locate_matches(y, m, m)?;
     }
+
+    #[test]
+    fn knn_locate_is_the_test_argmax_of_the_prefix_join(
+        n in 80usize..360,
+        m in 4usize..24,
+        period in 6usize..30,
+        kind in 0u8..6,
+        train_frac in 0.0f64..1.0,
+        short in 1usize..24,
+        seed in any::<u64>(),
+    ) {
+        prop_assume!(n >= 4 * m);
+        let x = series(n, period, kind, seed);
+        let ts = TimeSeries::new("p", x).unwrap();
+        let knn = SubsequenceKnn::new(m);
+        // a train prefix 1-NN accepts, short of the last window
+        let count = n - m + 1;
+        let train_len = 2 * m + ((count - 2 * m) as f64 * train_frac) as usize;
+        assert_member_matches(&knn, &ts, train_len, false)?;
+        // no test window: `t == count` and a test part shorter than the
+        // window, which still answer ...
+        assert_member_matches(&knn, &ts, count, false)?;
+        assert_member_matches(&knn, &ts, n - short.min(m - 1).max(1), false)?;
+        // ... and an empty test part, which both refuse
+        assert_member_matches(&knn, &ts, n, true)?;
+    }
+}
+
+#[test]
+fn knn_locate_errs_where_the_default_does() {
+    // `run_contest` maps any error to `predicted = 0`, so the hook must
+    // refuse exactly what the default body refuses, with the same error
+    let x = series(200, 24, 0, 11);
+    let ts = TimeSeries::new("e", x).unwrap();
+    let cases = [
+        (0, 100, "m == 0"),
+        (201, 100, "m > n"),
+        (24, 47, "t < 2m"),
+        (24, 200, "t == n"),
+        (24, 201, "t > n"),
+    ];
+    for (m, t, what) in cases {
+        let knn = SubsequenceKnn::new(m);
+        let want = ScoreOnly(&knn).locate(&ts, t);
+        assert!(want.is_err(), "{what}: the default answered");
+        for backend in backends() {
+            let got = simd::with_backend(backend, || knn.locate(&ts, t));
+            assert_eq!(got, want, "{what} on {}", backend.name());
+        }
+    }
+    // a NaN never reaches `locate`: the series refuses it as `score`'s
+    // join would
+    let mut y = series(200, 24, 0, 11);
+    y[150] = f64::NAN;
+    let nan = TimeSeries::new("e", y.clone()).unwrap_err();
+    assert_eq!(
+        tsad_detectors::matrix_profile::prefix_join(&y, 24, 100).unwrap_err(),
+        nan
+    );
 }
 
 #[test]
@@ -147,6 +240,7 @@ fn registry_discord_boxes_forward_locate() {
     for (id, counter) in [
         ("discord", "detectors.discord.locate_certified"),
         ("left-discord", "detectors.left_discord.locate_certified"),
+        ("subsequence-knn", "detectors.knn.locate_certified"),
     ] {
         let boxed = registry.build(id, &Params::new()).unwrap();
         let read = || tsad_obs::snapshot().counter(counter).unwrap_or(0);

@@ -3,6 +3,7 @@
 //! One test per binary, so no other test moves the counters meanwhile.
 
 use tsad_core::TimeSeries;
+use tsad_detectors::baselines::SubsequenceKnn;
 use tsad_detectors::matrix_profile::{DiscordDetector, OnlineDiscordDetector};
 use tsad_detectors::Detector;
 
@@ -77,4 +78,21 @@ fn near_ties_take_the_fallback_and_keep_the_answer() {
     let (at, moved) = locate_counting(&left, &ts, t, "detectors.left_discord.locate_fallback");
     assert_eq!(moved, 1, "the repeated test part was certified");
     assert_eq!(at, full_profile_location(&left, &ts, t));
+
+    // Prefix join: the test part holds one anomaly twice, a whole number
+    // of periods apart with the windows around it copied too, one value
+    // of the copy nudged by one ulp, so the two test windows farthest
+    // from the train part are within rounding of each other.
+    let mut x = noisy_sine(1400, 40.0);
+    for v in &mut x[800..815] {
+        *v = *v * 0.2 + 0.8;
+    }
+    let copy = x[760..860].to_vec();
+    x[1080..1180].copy_from_slice(&copy);
+    x[1125] = x[1125].next_up();
+    let ts = TimeSeries::new("twice", x).unwrap();
+    let knn = SubsequenceKnn::new(m);
+    let (at, moved) = locate_counting(&knn, &ts, 600, "detectors.knn.locate_fallback");
+    assert_eq!(moved, 1, "the twice-held anomaly was certified");
+    assert_eq!(at, full_profile_location(&knn, &ts, 600));
 }
